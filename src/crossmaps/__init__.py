@@ -21,6 +21,7 @@ from .core import (
     Edge,
     EdgeListDraft,
     Finding,
+    InvalidCrossmapError,
     MassArray,
     ValidationReport,
     build_crossmap,
@@ -95,6 +96,7 @@ __all__ = [
     "ExternalCommandTransform",
     "ExtractionResult",
     "Finding",
+    "InvalidCrossmapError",
     "ImputationMetrics",
     "InProcessTransform",
     "MassArray",

@@ -106,8 +106,7 @@ def compose(first: Crossmap, second: Crossmap) -> Crossmap:
     rows still sum to 1 (the product of row-stochastic matrices is
     row-stochastic), which construction re-asserts.
     """
-    second_sources = set(second.sources)
-    unmatched = tuple(t for t in first.targets if t not in second_sources)
+    unmatched = tuple(t for t in first.targets if t not in second.outgoing)
     if unmatched:
         raise CompositionError(unmatched)
     accumulated: dict[tuple[str, str], Fraction] = {}

@@ -16,13 +16,13 @@ import json
 import shlex
 import sys
 from datetime import datetime, timezone
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 from .algebra import CompositionError, compose, reverse
 from .core import (
     Crossmap,
-    EdgeListDraft,
     MassArray,
     ValidationReport,
     build_crossmap,
@@ -147,7 +147,6 @@ def _cmd_apply(args: argparse.Namespace) -> int:
         on_uncovered="drop_and_report" if args.drop_uncovered else "error",
     )
     output, receipt = apply_transform(crossmap, array, options)
-    assert receipt.input_total == receipt.output_total + receipt.dropped_mass
     _emit(write_array(output), args.out)
     sys.stderr.write(to_json(receipt) if args.json else _receipt_lines(receipt))
     _provenance_record(args, [args.map, args.data], {"receipt": receipt.to_json_dict()})
@@ -230,12 +229,20 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         payload["imputation"] = imputation_metrics(crossmap, array).to_json_dict()
         sys.stdout.write(to_json(payload))
     else:
-        sys.stdout.write(_summary_table(crossmap))
-        sys.stdout.write(_metrics_lines(crossmap, array))
+        # Metrics first: they refuse a bad array before any stdout is written.
+        metrics = _metrics_lines(crossmap, array)
+        sys.stdout.write(_summary_table(crossmap) + metrics)
     return EXIT_OK
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
+    try:
+        tolerance = Fraction(args.tolerance)
+    except ValueError:
+        tolerance = None
+    if tolerance is None or tolerance < 0:
+        _fail({"error": "usage", "message": f"--tolerance must be a non-negative number, got {args.tolerance!r}"})
+        return EXIT_USAGE
     keys = [
         line.strip()
         for line in Path(args.keys).read_text(encoding="utf-8").splitlines()
@@ -245,7 +252,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     result = probe_blackbox(
         transform,
         keys,
-        tolerance=args.tolerance,
+        tolerance=tolerance,
         rationalize_max_denominator=args.rationalize_max_den,
         jobs=args.jobs,
     )
@@ -373,6 +380,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PROBE
     except OSError as exc:
         _fail({"error": "io", "message": str(exc)})
+        return EXIT_USAGE
+    except UnicodeDecodeError as exc:
+        _fail({"error": "encoding", "message": f"input is not UTF-8: {exc}"})
         return EXIT_USAGE
 
 

@@ -18,6 +18,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
 from typing import Literal
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
     "Edge",
     "EdgeListDraft",
     "Finding",
+    "InvalidCrossmapError",
     "MassArray",
     "Severity",
     "ValidationReport",
@@ -45,6 +47,15 @@ Severity = Literal["error", "warning"]
 
 class CrossmapError(Exception):
     """Base class for errors raised by this package."""
+
+
+class InvalidCrossmapError(CrossmapError, ValueError):
+    """Edges that break a crossmap condition; ``report`` holds every finding."""
+
+    def __init__(self, report: ValidationReport):
+        self.report = report
+        details = "; ".join(f.message for f in report.errors[:3])
+        super().__init__(f"invalid crossmap: {details}")
 
 
 # Accepted weight/mass tokens: "p/q", a base-10 decimal, or an integer.
@@ -106,10 +117,11 @@ def clean_key(text: str) -> str:
 
 
 def _check_weight_type(weight: Fraction) -> Fraction:
-    # Floats sneak inexactness into every downstream equality; refuse them
-    # rather than guessing what the caller meant.
-    if isinstance(weight, float):
-        raise TypeError("weights must be exact (Fraction or int), not float; parse text with parse_rational")
+    # Floats sneak inexactness into every downstream equality, and bool is an
+    # int subclass the int branch would read as 1; refuse both rather than
+    # guessing what the caller meant.
+    if isinstance(weight, (float, bool)):
+        raise TypeError(f"weights must be Fraction or int, not {type(weight).__name__}; parse text with parse_rational")
     if isinstance(weight, int):
         return Fraction(weight)
     if not isinstance(weight, Fraction):
@@ -205,12 +217,11 @@ class Crossmap:
         object.__setattr__(self, "edges", tuple(sorted(edges, key=lambda e: (e.source, e.target))))
         report = _validate_edges(self.edges)
         if not report.ok:
-            details = "; ".join(f.message for f in report.errors[:3])
-            raise ValueError(f"invalid crossmap: {details}")
+            raise InvalidCrossmapError(report)
 
     @cached_property
     def sources(self) -> tuple[str, ...]:
-        return tuple(sorted({e.source for e in self.edges}))
+        return tuple(self.outgoing)
 
     @cached_property
     def targets(self) -> tuple[str, ...]:
@@ -219,15 +230,18 @@ class Crossmap:
     @cached_property
     def outgoing(self) -> Mapping[str, tuple[Edge, ...]]:
         """Edges grouped by source key, in canonical order."""
-        grouped: dict[str, list[Edge]] = {}
-        for e in self.edges:
-            grouped.setdefault(e.source, []).append(e)
-        return {s: tuple(es) for s, es in grouped.items()}
+        return {s: tuple(es) for s, es in groupby(self.edges, key=lambda e: e.source)}
 
     @cached_property
     def split_sources(self) -> tuple[str, ...]:
         """Source keys with more than one outgoing edge (value is divided)."""
         return tuple(s for s, es in self.outgoing.items() if len(es) > 1)
+
+    @cached_property
+    def _components(self) -> tuple:
+        # Cached like ``outgoing``; graph.components is the documented accessor.
+        from .graph import _find_components
+        return _find_components(self)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -348,10 +362,10 @@ def build_crossmap(draft: EdgeListDraft) -> Crossmap | ValidationReport:
 
     The result is independent of the draft's edge order.
     """
-    report = validate_draft(draft)
-    if not report.ok:
-        return report
-    return Crossmap(draft.edges)
+    try:
+        return Crossmap(draft.edges)
+    except InvalidCrossmapError as exc:
+        return exc.report
 
 
 def identity_crossmap(keys: Iterable[str]) -> Crossmap:

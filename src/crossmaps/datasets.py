@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from importlib.resources import files
 
-from .core import Crossmap, Edge, ONE, build_crossmap
+from .core import Crossmap, Edge, ONE
 from .formats import read_edge_list
 
 __all__ = ["country_recode", "occupation_recode", "occupation_recode_path"]
@@ -43,6 +43,4 @@ def occupation_recode() -> Crossmap:
     that banded codes with chained range conditions; every weight is 1 and
     each component is a rename or an aggregation.
     """
-    built = build_crossmap(read_edge_list(occupation_recode_path()))
-    assert isinstance(built, Crossmap)
-    return built
+    return Crossmap(read_edge_list(occupation_recode_path()).edges)

@@ -25,11 +25,9 @@ from .core import (
     Crossmap,
     CrossmapError,
     Edge,
-    EdgeListDraft,
     MassArray,
     ONE,
     ZERO,
-    build_crossmap,
     clean_key,
 )
 from . import formats
@@ -229,13 +227,8 @@ def probe_blackbox(
         else:
             edges.extend(Edge(key, target, w) for target, w in weights.items())
 
-    crossmap: Crossmap | None = None
-    if not nonconforming:
-        built = build_crossmap(EdgeListDraft(edges))
-        assert isinstance(built, Crossmap)
-        crossmap = built
     return ExtractionResult(
-        crossmap=crossmap,
+        crossmap=None if nonconforming else Crossmap(edges),
         raw_weights=outputs,
         nonconforming_sources=tuple(nonconforming),
         tolerance_used=tol,

@@ -30,7 +30,6 @@ from .core import (
     ONE,
     ValidationReport,
     ZERO,
-    build_crossmap,
     parse_rational,
     render_rational,
 )
@@ -300,9 +299,7 @@ def import_crosswalk(
     report = ValidationReport(tuple(findings))
     if not report.ok:
         return None, report
-    built = build_crossmap(EdgeListDraft(edges))
-    assert isinstance(built, Crossmap)
-    return built, report
+    return Crossmap(edges), report
 
 
 def _dot_quote(text: str) -> str:
@@ -318,7 +315,6 @@ def export_dot(crossmap: Crossmap) -> str:
     are dashed and labelled with their exact weight; unit edges are plain.
     The output is a pure function of the canonical crossmap.
     """
-    split = set(crossmap.split_sources)
     lines = [
         "digraph crossmap {",
         "  rankdir=LR;",
@@ -336,7 +332,7 @@ def export_dot(crossmap: Crossmap) -> str:
         lines.append(f"    {{ rank=same; {target_rank} }}")
         for edge in component.edges:
             head = f"    {_dot_quote('src:' + edge.source)} -> {_dot_quote('tgt:' + edge.target)}"
-            if edge.source in split:
+            if len(crossmap.outgoing[edge.source]) > 1:
                 label = _dot_quote(render_rational(edge.weight))
                 lines.append(f"{head} [style=dashed, label={label}];")
             else:

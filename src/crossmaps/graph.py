@@ -15,13 +15,12 @@ are tracked as (side, key) pairs internally.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Literal
 
 from .core import Crossmap, Edge, MassArray, ONE, ZERO, render_rational
-from .transform import CoverageError, MissingValueError
-from .validation import check_coverage
+from .transform import TransformOptions, _require_clean
 
 __all__ = [
     "Component",
@@ -96,18 +95,20 @@ def components(crossmap: Crossmap) -> tuple[Component, ...]:
 
     Non-split relation types (one_to_one, many_to_one) are asserted to carry
     only unit weights — the weight-sum rule forces this, so a violation
-    would mean a corrupted crossmap.
+    would mean a corrupted crossmap.  The partition is computed once per
+    crossmap and reused by every later call.
     """
+    return crossmap._components
+
+
+def _find_components(crossmap: Crossmap) -> tuple[Component, ...]:
     adjacency: dict[tuple[str, str], list[tuple[str, str]]] = {}
     for e in crossmap.edges:
         s, t = ("s", e.source), ("t", e.target)
         adjacency.setdefault(s, []).append(t)
         adjacency.setdefault(t, []).append(s)
 
-    edges_by_source: dict[str, list[Edge]] = {}
-    for e in crossmap.edges:
-        edges_by_source.setdefault(e.source, []).append(e)
-
+    outgoing = crossmap.outgoing
     seen: set[tuple[str, str]] = set()
     out: list[Component] = []
     for start_key in crossmap.sources:
@@ -126,24 +127,28 @@ def components(crossmap: Crossmap) -> tuple[Component, ...]:
                 if neighbour not in seen:
                     seen.add(neighbour)
                     queue.append(neighbour)
-        edges = tuple(
-            sorted(
-                (e for s in member_sources for e in edges_by_source[s]),
-                key=lambda e: (e.source, e.target),
-            )
-        )
+        sources = tuple(sorted(member_sources))
+        # Each source's outgoing edges are already in canonical order.
+        edges = tuple(e for s in sources for e in outgoing[s])
         relation = _classify_edges(edges)
         if relation in ("one_to_one", "many_to_one"):
             assert all(e.weight == ONE for e in edges), "non-split component with fractional weight"
         out.append(
             Component(
-                sources=tuple(sorted(member_sources)),
+                sources=sources,
                 targets=tuple(sorted(member_targets)),
                 edges=edges,
                 relation_type=relation,
             )
         )
     return tuple(out)
+
+
+def _type_counts(crossmap: Crossmap) -> dict[RelationType, int]:
+    counts: dict[RelationType, int] = {t: 0 for t in RELATION_TYPES}
+    for component in components(crossmap):
+        counts[component.relation_type] += 1
+    return counts
 
 
 @dataclass(frozen=True)
@@ -196,15 +201,12 @@ def summarize(crossmap: Crossmap) -> CrossmapSummary:
             key=lambda r: (-r.incoming_count, r.target),
         )
     )
-    type_counts: dict[RelationType, int] = {t: 0 for t in RELATION_TYPES}
-    for component in components(crossmap):
-        type_counts[component.relation_type] += 1
     return CrossmapSummary(
         target_rows=rows,
         edge_count=len(crossmap.edges),
         source_count=len(crossmap.sources),
         target_count=len(crossmap.targets),
-        component_type_counts=type_counts,
+        component_type_counts=_type_counts(crossmap),
     )
 
 
@@ -242,36 +244,22 @@ class ImputationMetrics:
 def imputation_metrics(crossmap: Crossmap, array: MassArray | None = None) -> ImputationMetrics:
     """Structural imputation metrics, plus the data-weighted share when an array is given.
 
-    With an array, coverage must hold and missing values are rejected, the
-    same preconditions the transform itself enforces.  An all-zero array
+    With an array, missing, negative and uncovered entries are refused,
+    exactly as :func:`apply_transform` refuses them.  An all-zero array
     realizes no splitting, so its share is 0.
     """
-    type_counts: dict[RelationType, int] = {t: 0 for t in RELATION_TYPES}
-    for component in components(crossmap):
-        type_counts[component.relation_type] += 1
     split = crossmap.split_sources
     metrics = ImputationMetrics(
-        component_type_counts=type_counts,
+        component_type_counts=_type_counts(crossmap),
         fractional_edge_count=sum(1 for e in crossmap.edges if e.weight != ONE),
         split_source_count=len(split),
         potential_split_share=Fraction(len(split), len(crossmap.sources)),
     )
     if array is None:
         return metrics
-    missing = array.missing_keys()
-    if missing:
-        raise MissingValueError(missing)
-    coverage = check_coverage(crossmap, array)
-    if not coverage.conformable:
-        raise CoverageError(coverage.uncovered_keys, coverage.mass_at_risk)
+    _require_clean(crossmap, array, TransformOptions())
     total = array.total
-    split_set = set(split)
-    entering = sum((v for k, v in array.items() if k in split_set), ZERO)
+    outgoing = crossmap.outgoing
+    entering = sum((v for k, v in array.items() if len(outgoing[k]) > 1), ZERO)
     realized = ZERO if total == ZERO else entering / total
-    return ImputationMetrics(
-        component_type_counts=metrics.component_type_counts,
-        fractional_edge_count=metrics.fractional_edge_count,
-        split_source_count=metrics.split_source_count,
-        potential_split_share=metrics.potential_split_share,
-        realized_split_mass_share=realized,
-    )
+    return replace(metrics, realized_split_mass_share=realized)

@@ -25,7 +25,7 @@ from .core import (
     clean_key,
     render_rational,
 )
-from .validation import check_coverage
+from .validation import CoverageReport, check_coverage
 
 __all__ = [
     "CoverageError",
@@ -124,13 +124,19 @@ class TransformReceipt:
         }
 
 
-def _require_clean(array: MassArray) -> None:
+def _require_clean(crossmap: Crossmap, array: MassArray, options: TransformOptions) -> CoverageReport:
+    # The one place the array preconditions live, checked in this order:
+    # missing values, negative masses, then coverage.
     missing = array.missing_keys()
     if missing:
         raise MissingValueError(missing)
     negative = tuple(k for k, v in array.items() if v is not None and v < ZERO)
     if negative:
         raise NegativeMassError(negative)
+    coverage = check_coverage(crossmap, array)
+    if not coverage.conformable and options.on_uncovered == "error":
+        raise CoverageError(coverage.uncovered_keys, coverage.mass_at_risk)
+    return coverage
 
 
 def apply_transform(
@@ -145,26 +151,17 @@ def apply_transform(
     uncovered keys unless options say to drop them, in which case the
     dropped mass is reported in the receipt instead of vanishing.
     """
-    _require_clean(array)
-    coverage = check_coverage(crossmap, array)
-    dropped = ZERO
-    if not coverage.conformable:
-        if options.on_uncovered == "error":
-            raise CoverageError(coverage.uncovered_keys, coverage.mass_at_risk)
-        dropped = coverage.mass_at_risk
-
-    uncovered = set(coverage.uncovered_keys)
-    split = set(crossmap.split_sources)
+    coverage = _require_clean(crossmap, array, options)
     outgoing = crossmap.outgoing
     accumulated: dict[str, Fraction] = {}
     split_mass = ZERO
     for key, mass in array.items():
-        if key in uncovered:
+        edges = outgoing.get(key)
+        if edges is None:
             continue
-        assert mass is not None
-        if key in split:
+        if len(edges) > 1:
             split_mass += mass
-        for edge in outgoing[key]:
+        for edge in edges:
             accumulated[edge.target] = accumulated.get(edge.target, ZERO) + mass * edge.weight
 
     if options.emit_zero_targets:
@@ -175,7 +172,7 @@ def apply_transform(
     receipt = TransformReceipt(
         input_total=array.total,
         output_total=output.total,
-        dropped_mass=dropped,
+        dropped_mass=coverage.mass_at_risk,
         split_mass=split_mass,
     )
     return output, receipt

@@ -98,8 +98,8 @@ def check_coverage(crossmap: Crossmap, array: MassArray) -> CoverageReport:
     sources; they contribute nothing to ``mass_at_risk`` since they carry
     no known mass (``check_array`` flags them separately).
     """
-    sources = set(crossmap.sources)
-    uncovered = tuple(k for k in array if k not in sources)
+    outgoing = crossmap.outgoing
+    uncovered = tuple(k for k in array if k not in outgoing)
     at_risk = sum((array[k] for k in uncovered if array[k] is not None), ZERO)
     return CoverageReport(conformable=not uncovered, uncovered_keys=uncovered, mass_at_risk=at_risk)
 

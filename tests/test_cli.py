@@ -202,6 +202,14 @@ class TestClassifySummarize:
         assert payload["totals"]["edges"] == 5
         assert payload["imputation"]["realized_split_mass_share"] == "10/157"
 
+    def test_summarize_negative_mass_exits_one(self, country_file, tmp_path, capsys):
+        data = tmp_path / "neg.csv"
+        data.write_text("key,value\nBLX,-3\n", encoding="utf-8")
+        assert main(["summarize", country_file, "--data", str(data)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "negative_masses", "keys": ["BLX"]}
+
 
 class TestExtract:
     def test_round_trip_through_external_harness(self, tmp_path, capsys):
@@ -250,6 +258,23 @@ class TestExtract:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "nonconforming_probe_totals"
         assert err["nonconforming_sources"][0]["source"] == "s"
+
+    @pytest.mark.parametrize("tolerance", ["abc", "-1/2"])
+    def test_bad_tolerance_is_usage_error(self, tolerance, tmp_path, capsys):
+        keys = tmp_path / "keys.txt"
+        keys.write_text("a\n", encoding="utf-8")
+        code = main(
+            [
+                "extract",
+                "--cmd", f"{sys.executable} -c 'import sys; sys.exit(4)'",
+                "--keys", str(keys),
+                f"--tolerance={tolerance}",
+                "--out", str(tmp_path / "x.csv"),
+            ]
+        )
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "usage"
+        assert not (tmp_path / "x.csv").exists()
 
     def test_probe_failure_exits_three(self, tmp_path, capsys):
         keys = tmp_path / "keys.txt"
@@ -301,6 +326,14 @@ class TestExitCodes:
     def test_missing_file_is_io_error(self, capsys):
         assert main(["validate", "/no/such/file.csv"]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "io"
+
+    def test_non_utf8_input_is_usage_error(self, country_file, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"\xff\xfe")
+        assert main(["apply", "--map", country_file, "--data", str(data)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "encoding"
 
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as excinfo:

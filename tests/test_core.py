@@ -8,10 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from crossmaps import core
 from crossmaps.core import (
     Crossmap,
     Edge,
     EdgeListDraft,
+    InvalidCrossmapError,
     MassArray,
     ValidationReport,
     build_crossmap,
@@ -87,8 +89,9 @@ class TestEdge:
         assert (edge.source, edge.target) == ("BLX", "BEL")
 
     def test_rejects_float_weight(self):
-        with pytest.raises(TypeError):
-            Edge("a", "b", 0.5)
+        for weight in (0.5, True):
+            with pytest.raises(TypeError):
+                Edge("a", "b", weight)
 
     def test_int_weight_coerced_exactly(self):
         assert Edge("a", "b", 1).weight == Fraction(1)
@@ -166,6 +169,20 @@ class TestBuildCrossmap:
         assert not validate_draft(bad).ok
         assert isinstance(build_crossmap(bad), ValidationReport)
 
+    def test_valid_build_runs_one_validation_pass(self, monkeypatch):
+        calls = []
+        validate = core._validate_edges
+        monkeypatch.setattr(core, "_validate_edges", lambda edges: calls.append(edges) or validate(edges))
+        assert isinstance(build_crossmap(country_draft()), Crossmap)
+        assert len(calls) == 1
+
+    def test_constructor_error_carries_the_build_report(self):
+        draft = EdgeListDraft([Edge("BLX", "BEL", HALF)])
+        with pytest.raises(InvalidCrossmapError, match="invalid crossmap") as excinfo:
+            Crossmap(draft.edges)
+        assert isinstance(excinfo.value, ValueError)
+        assert excinfo.value.report == build_crossmap(draft)
+
 
 class TestIdentityCrossmap:
     def test_single_key(self):
@@ -191,8 +208,9 @@ class TestIdentityCrossmap:
 
 class TestMassArray:
     def test_rejects_float(self):
-        with pytest.raises(TypeError):
-            MassArray({"a": 0.5})
+        for value in (0.5, True):
+            with pytest.raises(TypeError):
+                MassArray({"a": value})
 
     def test_rejects_duplicate_keys_after_trimming(self):
         with pytest.raises(ValueError):

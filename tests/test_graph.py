@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from crossmaps import graph
 from crossmaps.core import Crossmap, Edge, MassArray, identity_crossmap
 from crossmaps.graph import (
     classify,
@@ -15,7 +16,7 @@ from crossmaps.graph import (
     imputation_metrics,
     summarize,
 )
-from crossmaps.transform import CoverageError
+from crossmaps.transform import CoverageError, NegativeMassError
 
 from helpers import random_crossmap, random_mass_array
 from occupation_fixture import (
@@ -203,6 +204,19 @@ class TestImputationMetrics:
     def test_coverage_failure_when_array_not_conformable(self, occupation_splits_map):
         with pytest.raises(CoverageError):
             imputation_metrics(occupation_splits_map, MassArray({"nope": 1}))
+
+    def test_negative_mass_refused_like_the_transform(self, occupation_splits_map):
+        with pytest.raises(NegativeMassError):
+            imputation_metrics(occupation_splits_map, MassArray({"111111": -3}))
+
+    def test_components_built_once_per_crossmap(self, occupation_splits_map, monkeypatch):
+        calls = []
+        find = graph._find_components
+        monkeypatch.setattr(graph, "_find_components", lambda m: calls.append(m) or find(m))
+        summarize(occupation_splits_map)
+        imputation_metrics(occupation_splits_map, MassArray({"111111": 1}))
+        assert components(occupation_splits_map)[0].sources == ("111111", "111211")
+        assert len(calls) == 1
 
     def test_zero_total_array_realizes_zero(self, occupation_splits_map):
         array = MassArray({"111111": 0, "111212": 0})
