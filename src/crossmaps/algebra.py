@@ -16,8 +16,7 @@ from .core import (
     Crossmap,
     CrossmapError,
     Edge,
-    Finding,
-    ONE,
+    InvalidCrossmapError,
     ValidationReport,
     ZERO,
     render_rational,
@@ -114,8 +113,7 @@ def compose(first: Crossmap, second: Crossmap) -> Crossmap:
         for right in second.outgoing[left.target]:
             pair = (left.source, right.target)
             accumulated[pair] = accumulated.get(pair, ZERO) + left.weight * right.weight
-    # Positive weights can never cancel, but keep the result minimal anyway.
-    return Crossmap(Edge(s, t, w) for (s, t), w in accumulated.items() if w != ZERO)
+    return Crossmap(Edge(s, t, w) for (s, t), w in accumulated.items())
 
 
 def reverse(crossmap: Crossmap) -> Crossmap | ValidationReport:
@@ -125,26 +123,7 @@ def reverse(crossmap: Crossmap) -> Crossmap | ValidationReport:
     target several outgoing unit weights, whose sum exceeds 1.  Failure
     returns a report naming each such key with its exact reversed sum.
     """
-    incoming: dict[str, Fraction] = {}
-    fan_in: dict[str, int] = {}
-    for edge in crossmap.edges:
-        incoming[edge.target] = incoming.get(edge.target, ZERO) + edge.weight
-        fan_in[edge.target] = fan_in.get(edge.target, 0) + 1
-    findings = [
-        Finding(
-            severity="error",
-            code="weight_sum_not_one",
-            subject=target,
-            message=(
-                f"reversed source {target!r} would have {fan_in[target]} outgoing links "
-                f"with weights summing to {render_rational(total)}, violating the "
-                "requirement that they sum to exactly 1"
-            ),
-            value=total,
-        )
-        for target in sorted(incoming)
-        if (total := incoming[target]) != ONE
-    ]
-    if findings:
-        return ValidationReport(tuple(findings))
-    return Crossmap(Edge(e.target, e.source, e.weight) for e in crossmap.edges)
+    try:
+        return Crossmap(Edge(e.target, e.source, e.weight) for e in crossmap.edges)
+    except InvalidCrossmapError as exc:
+        return exc.report

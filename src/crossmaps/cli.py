@@ -13,12 +13,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import shlex
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 from .algebra import CompositionError, compose, reverse
 from .core import (
@@ -57,6 +57,7 @@ EXIT_USAGE = 2
 EXIT_PROBE = 3
 
 SUMMARY_KEY_DISPLAY_LIMIT = 10
+MAX_JOBS = 64
 
 
 def _fail(payload: dict) -> None:
@@ -65,17 +66,29 @@ def _fail(payload: dict) -> None:
 
 def _source(path: str):
     """A readable source for the formats readers; '-' means standard input."""
-    if path == "-":
-        text = sys.stdin.read()
-        return SimpleNamespace(read=lambda: text, name="<stdin>")
-    return path
+    return sys.stdin if path == "-" else path
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None or out == "-":
+def _emit(args: argparse.Namespace, text: str, inputs: list[str], extra: dict) -> None:
+    """Write ``text`` to ``--out`` (or stdout), then append the provenance record.
+
+    A file output is written beside its target under a temporary name and
+    renamed into place only after the provenance record is appended, so a
+    failed run never leaves an ``--out`` file behind.
+    """
+    if args.out is None or args.out == "-":
         sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+        _provenance_record(args, inputs, extra)
+        return
+    target = Path(args.out)
+    partial = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+    try:
+        partial.write_text(text, encoding="utf-8")
+        _provenance_record(args, inputs, extra)
+        os.replace(partial, target)
+    except BaseException:
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def _load_crossmap(path: str) -> Crossmap:
@@ -147,9 +160,8 @@ def _cmd_apply(args: argparse.Namespace) -> int:
         on_uncovered="drop_and_report" if args.drop_uncovered else "error",
     )
     output, receipt = apply_transform(crossmap, array, options)
-    _emit(write_array(output), args.out)
+    _emit(args, write_array(output), [args.map, args.data], {"receipt": receipt.to_json_dict()})
     sys.stderr.write(to_json(receipt) if args.json else _receipt_lines(receipt))
-    _provenance_record(args, [args.map, args.data], {"receipt": receipt.to_json_dict()})
     return EXIT_OK
 
 
@@ -158,8 +170,7 @@ def _cmd_compose(args: argparse.Namespace) -> int:
     combined = maps[0]
     for nxt in maps[1:]:
         combined = compose(combined, nxt)
-    _emit(write_edge_list(combined), args.out)
-    _provenance_record(args, list(args.edges), {})
+    _emit(args, write_edge_list(combined), list(args.edges), {})
     return EXIT_OK
 
 
@@ -168,8 +179,7 @@ def _cmd_reverse(args: argparse.Namespace) -> int:
     result = reverse(crossmap)
     if isinstance(result, ValidationReport):
         raise _ReportedFailure(result, subject=args.edges)
-    _emit(write_edge_list(result), args.out)
-    _provenance_record(args, [args.edges], {})
+    _emit(args, write_edge_list(result), [args.edges], {})
     return EXIT_OK
 
 
@@ -261,8 +271,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         payload["error"] = "nonconforming_probe_totals"
         _fail(payload)
         return EXIT_VALIDATION
-    _emit(write_edge_list(result.crossmap), args.out)
-    _provenance_record(args, [args.keys], {"extraction": result.to_json_dict()})
+    _emit(args, write_edge_list(result.crossmap), [args.keys], {"extraction": result.to_json_dict()})
     return EXIT_OK
 
 
@@ -273,20 +282,42 @@ def _cmd_import_crosswalk(args: argparse.Namespace) -> int:
         raise _ReportedFailure(report, subject=args.crosswalk)
     for warning in report.warnings:
         sys.stderr.write(f"warning {warning.code} {warning.subject}: {warning.message}\n")
-    _emit(write_edge_list(crossmap), args.out)
-    _provenance_record(args, [args.crosswalk], {})
+    _emit(args, write_edge_list(crossmap), [args.crosswalk], {})
     return EXIT_OK
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
     crossmap = _load_crossmap(args.edges)
-    _emit(export_dot(crossmap), args.out)
-    _provenance_record(args, [args.edges], {})
+    _emit(args, export_dot(crossmap), [args.edges], {})
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors follow the exit-code contract: one JSON document, exit 2."""
+
+    def error(self, message: str):
+        _fail({"error": "usage", "message": message})
+        raise SystemExit(EXIT_USAGE)
+
+
+def _positive_int(upper: int | None = None):
+    """argparse type for an integer of at least 1 and at most ``upper``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < 1 or (upper is not None and value > upper):
+            bound = "at least 1" if upper is None else f"between 1 and {upper}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="crossmap",
         description="Validate, apply, compose, analyse, and extract mass-preserving key mappings.",
     )
@@ -334,8 +365,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cmd", required=True, help="command reading an array CSV on stdin, writing one on stdout")
     p.add_argument("--keys", required=True, help="file with one source key per line")
     p.add_argument("--tolerance", default="1e-9")
-    p.add_argument("--rationalize-max-den", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--rationalize-max-den", type=_positive_int(), default=None)
+    p.add_argument("--jobs", type=_positive_int(MAX_JOBS), default=1)
     p.add_argument("--out", required=True)
     p.add_argument("--provenance")
     p.set_defaults(handler=_cmd_extract)

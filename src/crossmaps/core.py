@@ -153,11 +153,9 @@ class EdgeListDraft:
     """Unvalidated edge list, the staging form for crossmap construction."""
 
     edges: tuple[Edge, ...]
-    provenance_note: str | None = None
 
-    def __init__(self, edges: Iterable[Edge], provenance_note: str | None = None) -> None:
+    def __init__(self, edges: Iterable[Edge]) -> None:
         object.__setattr__(self, "edges", tuple(edges))
-        object.__setattr__(self, "provenance_note", provenance_note)
 
 
 @dataclass(frozen=True)

@@ -14,11 +14,11 @@ probes and is the caller's judgement.
 
 from __future__ import annotations
 
+import io
 import subprocess
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from types import SimpleNamespace
 from typing import Callable, Sequence
 
 from .core import (
@@ -74,18 +74,18 @@ class ExternalCommandTransform:
         try:
             proc = subprocess.run(
                 self.argv,
-                input=formats.write_array(array),
+                input=formats.write_array(array).encode("utf-8"),
                 capture_output=True,
-                text=True,
             )
         except OSError as exc:
             raise ProbeError(f"could not launch {self.argv[0]!r}: {exc}") from exc
         if proc.returncode != 0:
-            detail = proc.stderr.strip() or f"exit status {proc.returncode}"
+            detail = proc.stderr.decode("utf-8", errors="replace").strip() or f"exit status {proc.returncode}"
             raise ProbeError(f"{self.argv[0]!r} failed: {detail}")
-        stdout = proc.stdout
-        output = SimpleNamespace(read=lambda: stdout, name=self.argv[0])
         try:
+            # newline=None keeps the universal-newline reading of text mode.
+            output = io.StringIO(proc.stdout.decode("utf-8"), newline=None)
+            output.name = self.argv[0]
             return formats.read_array(output)
         except (formats.ParseError, ValueError) as exc:
             raise ProbeError(f"unparsable output from {self.argv[0]!r}: {exc}") from exc
@@ -128,32 +128,7 @@ def rationalize(value: Fraction | int | str, max_denominator: int) -> Fraction:
     the smaller denominator.  Text input is read as an exact base-10
     value, so ``"0.333333"`` snaps to 1/3 under a bound of 100.
     """
-    if max_denominator < 1:
-        raise ValueError("max_denominator must be at least 1")
-    x = Fraction(value)
-    if x.denominator <= max_denominator:
-        return x
-    # Walk the continued-fraction convergents until the denominator bound,
-    # then compare the last convergent with the best semiconvergent.
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    n, d = x.numerator, x.denominator
-    while True:
-        a = n // d
-        q2 = q0 + a * q1
-        if q2 > max_denominator:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
-    k = (max_denominator - q0) // q1
-    semiconvergent = Fraction(p0 + k * p1, q0 + k * q1)
-    convergent = Fraction(p1, q1)
-    err_semi = abs(semiconvergent - x)
-    err_conv = abs(convergent - x)
-    if err_conv < err_semi:
-        return convergent
-    if err_semi < err_conv:
-        return semiconvergent
-    return convergent if convergent.denominator <= semiconvergent.denominator else semiconvergent
+    return Fraction(value).limit_denominator(max_denominator)
 
 
 def _identity_probe(keys: tuple[str, ...], hot: str) -> MassArray:

@@ -124,7 +124,7 @@ def read_edge_list(source: str | Path | TextIO) -> EdgeListDraft:
         edges.append(Edge(raw_from, raw_to, weight))
     if problems:
         raise ParseError(name, problems)
-    return EdgeListDraft(edges, provenance_note=name)
+    return EdgeListDraft(edges)
 
 
 def _decimal_text(value: Fraction) -> str | None:

@@ -25,7 +25,7 @@ from .core import (
     clean_key,
     render_rational,
 )
-from .validation import CoverageReport, check_coverage
+from .validation import CoverageReport, check_array, check_coverage
 
 __all__ = [
     "CoverageError",
@@ -125,12 +125,14 @@ class TransformReceipt:
 
 
 def _require_clean(crossmap: Crossmap, array: MassArray, options: TransformOptions) -> CoverageReport:
-    # The one place the array preconditions live, checked in this order:
-    # missing values, negative masses, then coverage.
-    missing = array.missing_keys()
+    # The one place the array preconditions are enforced, in this order:
+    # missing values, negative masses (both as check_array classifies
+    # them), then coverage.
+    findings = check_array(array)
+    missing = tuple(f.key for f in findings if f.kind == "missing_value")
     if missing:
         raise MissingValueError(missing)
-    negative = tuple(k for k, v in array.items() if v is not None and v < ZERO)
+    negative = tuple(f.key for f in findings if f.kind == "negative_value")
     if negative:
         raise NegativeMassError(negative)
     coverage = check_coverage(crossmap, array)

@@ -117,6 +117,6 @@ def check_array(array: MassArray, policy: ArrayPolicy = "allow_zero") -> tuple[A
             findings.append(ArrayFinding(key, "missing_value"))
         elif value < ZERO:
             findings.append(ArrayFinding(key, "negative_value", value))
-        elif value == ZERO and policy == "strict_positive":
+        elif policy == "strict_positive" and value == ZERO:
             findings.append(ArrayFinding(key, "nonpositive_value", value))
     return tuple(findings)

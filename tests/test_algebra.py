@@ -15,7 +15,15 @@ from crossmaps.algebra import (
     reverse,
     to_matrix,
 )
-from crossmaps.core import Crossmap, Edge, MassArray, ValidationReport, identity_crossmap
+from crossmaps.core import (
+    Crossmap,
+    Edge,
+    EdgeListDraft,
+    MassArray,
+    ValidationReport,
+    identity_crossmap,
+    validate_draft,
+)
 from crossmaps.transform import apply_transform
 
 from helpers import random_chain, random_crossmap
@@ -163,10 +171,20 @@ class TestReverse:
         (finding,) = result.errors
         assert finding.subject == "1111"
         assert finding.value == Fraction(3)
-        assert "3 outgoing links" in finding.message
+        assert finding.message == "outgoing weights of source '1111' sum to 3, expected exactly 1"
 
     def test_bijective_renaming(self):
         assert reverse(Crossmap([Edge("a", "b", ONE)])) == Crossmap([Edge("b", "a", ONE)])
+
+    @given(st.integers(0, 10_000))
+    def test_reverse_is_the_transpose_under_crossmap_validation(self, seed):
+        crossmap = random_crossmap(random.Random(seed), max_sources=6, max_targets=6)
+        transposed = [Edge(e.target, e.source, e.weight) for e in crossmap.edges]
+        result = reverse(crossmap)
+        if isinstance(result, ValidationReport):
+            assert result == validate_draft(EdgeListDraft(transposed))
+        else:
+            assert result == Crossmap(transposed)
 
     @given(st.integers(0, 10_000))
     def test_double_reverse_is_identity_when_defined(self, seed):

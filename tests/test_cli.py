@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from crossmaps.cli import main
+from crossmaps import cli
+from crossmaps.cli import MAX_JOBS, main
 from crossmaps.core import Crossmap, Edge, build_crossmap
 from crossmaps.formats import read_edge_list, write_edge_list
 
@@ -276,6 +277,22 @@ class TestExtract:
         assert json.loads(capsys.readouterr().err)["error"] == "usage"
         assert not (tmp_path / "x.csv").exists()
 
+    def test_non_utf8_probe_output_exits_three(self, tmp_path, capsys):
+        keys = tmp_path / "keys.txt"
+        keys.write_text("a\n", encoding="utf-8")
+        probe = "import sys; sys.stdout.buffer.write(bytes([255, 254]))"
+        code = main(
+            [
+                "extract",
+                "--cmd", f"{sys.executable} -c '{probe}'",
+                "--keys", str(keys),
+                "--out", str(tmp_path / "x.csv"),
+            ]
+        )
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "probe"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_probe_failure_exits_three(self, tmp_path, capsys):
         keys = tmp_path / "keys.txt"
         keys.write_text("a\n", encoding="utf-8")
@@ -318,10 +335,11 @@ class TestImportExport:
 
 
 class TestExitCodes:
-    def test_unknown_flag_is_usage_error(self, country_file):
+    def test_unknown_flag_is_usage_error(self, country_file, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["validate", country_file, "--bogus"])
         assert excinfo.value.code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "usage"
 
     def test_missing_file_is_io_error(self, capsys):
         assert main(["validate", "/no/such/file.csv"]) == 2
@@ -335,7 +353,72 @@ class TestExitCodes:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "encoding"
 
-    def test_no_subcommand_is_usage_error(self):
+    def test_no_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([])
         assert excinfo.value.code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "usage"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["apply", "--map", "m.csv"],
+            ["extract", "--cmd", "true", "--keys", "k.txt", "--out", "o.csv", "--jobs", "two"],
+            ["no-such-command"],
+        ],
+        ids=["missing_required", "non_integer_jobs", "unknown_subcommand"],
+    )
+    def test_argument_errors_write_one_json_document(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        document = json.loads(captured.err)
+        assert document["error"] == "usage"
+        assert document["message"]
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--rationalize-max-den", "0"),
+            ("--jobs", "0"),
+            ("--jobs", "-3"),
+            ("--jobs", str(MAX_JOBS + 1)),
+        ],
+    )
+    def test_out_of_range_integer_is_rejected_before_probing(self, flag, value, tmp_path, capsys, monkeypatch):
+        def must_not_probe(*args, **kwargs):
+            raise AssertionError("probe_blackbox was called")
+
+        monkeypatch.setattr(cli, "probe_blackbox", must_not_probe)
+        keys = tmp_path / "keys.txt"
+        keys.write_text("a\n", encoding="utf-8")
+        argv = [
+            "extract",
+            "--cmd", f"{sys.executable} -c 'import sys; sys.exit(4)'",
+            "--keys", str(keys),
+            "--out", str(tmp_path / "x.csv"),
+            flag, value,
+        ]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        document = json.loads(capsys.readouterr().err)
+        assert document["error"] == "usage"
+        assert flag in document["message"]
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_failed_provenance_write_leaves_no_out_file(self, country_file, obs_file, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        code = main(
+            [
+                "apply", "--map", country_file, "--data", obs_file, "--out", str(out),
+                "--provenance", str(tmp_path / "missing" / "p.jsonl"),
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "io"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["country.csv", "obs.csv"]

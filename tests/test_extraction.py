@@ -196,6 +196,20 @@ class TestExternalProbing:
         with pytest.raises(ProbeError, match="unparsable"):
             probe_blackbox(command, ["a"])
 
+    def test_non_utf8_output_is_probe_error(self):
+        command = ExternalCommandTransform(
+            [sys.executable, "-c", "import sys; sys.stdout.buffer.write(b'\\xff\\xfe')"]
+        )
+        with pytest.raises(ProbeError, match="unparsable"):
+            probe_blackbox(command, ["a"])
+
+    def test_non_utf8_stderr_of_failing_command_is_probe_error(self):
+        command = ExternalCommandTransform(
+            [sys.executable, "-c", "import sys; sys.stderr.buffer.write(b'bad \\xff'); sys.exit(4)"]
+        )
+        with pytest.raises(ProbeError, match="failed: bad \ufffd"):
+            probe_blackbox(command, ["a"])
+
     def test_missing_program_is_probe_error(self):
         with pytest.raises(ProbeError, match="launch"):
             probe_blackbox(ExternalCommandTransform(["/no/such/binary"]), ["a"])
