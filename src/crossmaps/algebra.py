@@ -19,6 +19,7 @@ from .core import (
     InvalidCrossmapError,
     ValidationReport,
     ZERO,
+    _exact_sums,
     render_rational,
 )
 
@@ -108,11 +109,17 @@ def compose(first: Crossmap, second: Crossmap) -> Crossmap:
     unmatched = tuple(t for t in first.targets if t not in second.outgoing)
     if unmatched:
         raise CompositionError(unmatched)
-    accumulated: dict[tuple[str, str], Fraction] = {}
-    for left in first.edges:
-        for right in second.outgoing[left.target]:
-            pair = (left.source, right.target)
-            accumulated[pair] = accumulated.get(pair, ZERO) + left.weight * right.weight
+    outgoing = second.outgoing
+
+    def terms():
+        # Each path's weight product as an unreduced integer pair.
+        for left in first.edges:
+            a, b = left.weight.as_integer_ratio()
+            for right in outgoing[left.target]:
+                n, d = right.weight.as_integer_ratio()
+                yield (left.source, right.target), a * n, b * d
+
+    accumulated = _exact_sums(terms())
     return Crossmap(Edge(s, t, w) for (s, t), w in accumulated.items())
 
 

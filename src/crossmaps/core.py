@@ -14,12 +14,13 @@ threads.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import ItemsView, Iterable, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
-from typing import Literal
+from math import gcd
+from typing import Hashable, Literal, TypeVar
 
 __all__ = [
     "Crossmap",
@@ -43,6 +44,8 @@ ONE = Fraction(1)
 ZERO = Fraction(0)
 
 Severity = Literal["error", "warning"]
+
+K = TypeVar("K", bound=Hashable)
 
 
 class CrossmapError(Exception):
@@ -102,6 +105,41 @@ def parse_rational(text: str) -> Fraction:
 def render_rational(value: Fraction) -> str:
     """Canonical text for an exact value: ``p/q``, or just ``p`` for integers."""
     return str(value)
+
+
+def _exact_sums(terms: Iterable[tuple[K, int, int]]) -> dict[K, Fraction]:
+    """Exact sum per key of the terms ``(key, numerator, denominator)``, denominators positive.
+
+    Each key keeps one integer numerator over a running common denominator,
+    which only ever grows to the lcm of its term denominators: a term whose
+    denominator divides it is scaled up to it, any other term rescales the
+    sum to the lcm.  The result is reduced once per key, so it is the same
+    canonical ``Fraction`` that adding the terms one by one would give,
+    without a ``Fraction`` object and a gcd per term.  Keys keep first-seen
+    order.
+    """
+    acc: dict[K, list[int]] = {}
+    for key, n, d in terms:
+        pair = acc.get(key)
+        if pair is None:
+            acc[key] = [n, d]
+            continue
+        common = pair[1]
+        g = gcd(common, d)
+        if g == d:
+            pair[0] += n * (common // d)
+        elif g == 1:
+            pair[0] = pair[0] * d + n * common
+            pair[1] = common * d
+        else:
+            pair[0] = pair[0] * (d // g) + n * (common // g)
+            pair[1] = common // g * d
+    return {key: Fraction(n, d) for key, (n, d) in acc.items()}
+
+
+def _exact_total(values: Iterable[Fraction]) -> Fraction:
+    """Exact sum of the values, through :func:`_exact_sums`; 0 when there are none."""
+    return _exact_sums((None, *v.as_integer_ratio()) for v in values).get(None, ZERO)
 
 
 def clean_key(text: str) -> str:
@@ -278,6 +316,14 @@ class MassArray(Mapping):
     def __len__(self) -> int:
         return len(self._entries)
 
+    # The backing dict's read-only views, instead of the Mapping mixins that
+    # call __iter__ and __getitem__ once per entry.
+    def items(self) -> ItemsView[str, Fraction | None]:
+        return self._entries.items()
+
+    def values(self) -> ValuesView[Fraction | None]:
+        return self._entries.values()
+
     def __repr__(self) -> str:
         inner = ", ".join(f"{k!r}: {v}" for k, v in self._entries.items())
         return f"MassArray({{{inner}}})"
@@ -285,7 +331,7 @@ class MassArray(Mapping):
     @property
     def total(self) -> Fraction:
         """Exact sum of all present masses; missing entries contribute nothing."""
-        return sum((v for v in self._entries.values() if v is not None), ZERO)
+        return _exact_total(v for v in self._entries.values() if v is not None)
 
     def missing_keys(self) -> tuple[str, ...]:
         return tuple(k for k, v in self._entries.items() if v is None)
@@ -303,7 +349,6 @@ def _validate_edges(edges: tuple[Edge, ...]) -> ValidationReport:
             )
         )
     seen: set[tuple[str, str]] = set()
-    sums: dict[str, Fraction] = {}
     for edge in edges:
         pair = (edge.source, edge.target)
         if pair in seen:
@@ -316,7 +361,9 @@ def _validate_edges(edges: tuple[Edge, ...]) -> ValidationReport:
                 )
             )
         seen.add(pair)
-        if not ZERO < edge.weight <= ONE:
+        n, d = edge.weight.as_integer_ratio()
+        # Fraction denominators are positive, so 0 < n/d <= 1 iff 0 < n <= d.
+        if not 0 < n <= d:
             findings.append(
                 Finding(
                     severity="error",
@@ -326,7 +373,7 @@ def _validate_edges(edges: tuple[Edge, ...]) -> ValidationReport:
                     value=edge.weight,
                 )
             )
-        sums[edge.source] = sums.get(edge.source, ZERO) + edge.weight
+    sums = _exact_sums((e.source, *e.weight.as_integer_ratio()) for e in edges)
     for source in sorted(sums):
         total = sums[source]
         if total != ONE:

@@ -28,6 +28,7 @@ from .core import (
     MassArray,
     ONE,
     ZERO,
+    _exact_total,
     clean_key,
 )
 from . import formats
@@ -149,10 +150,14 @@ def probe_blackbox(
     snaps to the nearest rational under that denominator bound whenever the
     snap moves it by at most ``tolerance``; weights are otherwise kept as
     the exact base-10 values the transform produced, so no precision is
-    invented silently.  Probes run concurrently across ``jobs`` workers
-    after a serial determinism check on the first key; the session issues
-    at most ``len(source_keys) + 1`` probes.
+    invented silently.  Probes run concurrently across ``jobs`` workers (an
+    int, at least 1) after a serial determinism check on the first key; the
+    session issues at most ``len(source_keys) + 1`` probes.
     """
+    if isinstance(jobs, bool) or not isinstance(jobs, int):
+        raise TypeError(f"jobs must be an int, not {type(jobs).__name__}")
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     keys = tuple(dict.fromkeys(clean_key(k) for k in source_keys))
     if not keys:
         raise ValueError("need at least one source key to probe")
@@ -196,8 +201,8 @@ def probe_blackbox(
                     value = snapped
             if value != ZERO:
                 weights[target] = value
-        total = sum(weights.values(), ZERO)
-        if total != ONE or any(not ZERO < w <= ONE for w in weights.values()):
+        total = _exact_total(weights.values())
+        if total != ONE or any(not 0 < w.numerator <= w.denominator for w in weights.values()):
             nonconforming.append((key, total))
         else:
             edges.extend(Edge(key, target, w) for target, w in weights.items())

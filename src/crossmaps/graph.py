@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Literal
 
-from .core import Crossmap, Edge, MassArray, ONE, ZERO, render_rational
+from .core import Crossmap, Edge, MassArray, ONE, ZERO, _exact_total, render_rational
 from .transform import TransformOptions, _require_clean
 
 __all__ = [
@@ -260,6 +260,6 @@ def imputation_metrics(crossmap: Crossmap, array: MassArray | None = None) -> Im
     _require_clean(crossmap, array, TransformOptions())
     total = array.total
     outgoing = crossmap.outgoing
-    entering = sum((v for k, v in array.items() if len(outgoing[k]) > 1), ZERO)
+    entering = _exact_total(v for k, v in array.items() if len(outgoing[k]) > 1)
     realized = ZERO if total == ZERO else entering / total
     return replace(metrics, realized_split_mass_share=realized)

@@ -22,6 +22,8 @@ from .core import (
     CrossmapError,
     MassArray,
     ZERO,
+    _exact_sums,
+    _exact_total,
     clean_key,
     render_rational,
 )
@@ -155,16 +157,18 @@ def apply_transform(
     """
     coverage = _require_clean(crossmap, array, options)
     outgoing = crossmap.outgoing
-    accumulated: dict[str, Fraction] = {}
-    split_mass = ZERO
-    for key, mass in array.items():
-        edges = outgoing.get(key)
-        if edges is None:
-            continue
-        if len(edges) > 1:
-            split_mass += mass
-        for edge in edges:
-            accumulated[edge.target] = accumulated.get(edge.target, ZERO) + mass * edge.weight
+
+    def terms():
+        # mass * weight as an unreduced integer pair; a zero mass adds nothing.
+        for key, mass in array.items():
+            if mass and key in outgoing:
+                p, q = mass.as_integer_ratio()
+                for edge in outgoing[key]:
+                    n, d = edge.weight.as_integer_ratio()
+                    yield edge.target, p * n, q * d
+
+    accumulated = _exact_sums(terms())
+    split_mass = _exact_total(m for k, m in array.items() if len(outgoing.get(k, ())) > 1)
 
     if options.emit_zero_targets:
         entries = {t: accumulated.get(t, ZERO) for t in crossmap.targets}
@@ -210,10 +214,7 @@ def drop_keys(array: MassArray, keys: set[str] | frozenset[str] | tuple[str, ...
     """
     to_drop = {clean_key(k) for k in keys}
     kept = {k: v for k, v in array.items() if k not in to_drop}
-    dropped_mass = sum(
-        (v for k, v in array.items() if k in to_drop and v is not None),
-        ZERO,
-    )
+    dropped_mass = _exact_total(v for k, v in array.items() if k in to_drop and v is not None)
     return MassArray(kept), dropped_mass
 
 

@@ -19,6 +19,7 @@ from .core import (
     MassArray,
     ValidationReport,
     ZERO,
+    _exact_total,
     render_rational,
     validate_draft,
 )
@@ -100,7 +101,7 @@ def check_coverage(crossmap: Crossmap, array: MassArray) -> CoverageReport:
     """
     outgoing = crossmap.outgoing
     uncovered = tuple(k for k in array if k not in outgoing)
-    at_risk = sum((array[k] for k in uncovered if array[k] is not None), ZERO)
+    at_risk = _exact_total(array[k] for k in uncovered if array[k] is not None)
     return CoverageReport(conformable=not uncovered, uncovered_keys=uncovered, mass_at_risk=at_risk)
 
 
@@ -115,7 +116,7 @@ def check_array(array: MassArray, policy: ArrayPolicy = "allow_zero") -> tuple[A
     for key, value in array.items():
         if value is None:
             findings.append(ArrayFinding(key, "missing_value"))
-        elif value < ZERO:
+        elif value.numerator < 0:
             findings.append(ArrayFinding(key, "negative_value", value))
         elif policy == "strict_positive" and value == ZERO:
             findings.append(ArrayFinding(key, "nonpositive_value", value))

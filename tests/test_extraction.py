@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from crossmaps.core import Crossmap, Edge, MassArray
+from crossmaps.core import Crossmap, Edge, MassArray, identity_crossmap
 from crossmaps.extraction import (
     ExternalCommandTransform,
     InProcessTransform,
@@ -105,6 +105,20 @@ class TestInProcessProbing:
 
         probe_blackbox(InProcessTransform(counted), crossmap.sources)
         assert calls == len(crossmap.sources) + 1
+
+    @pytest.mark.parametrize("jobs, error", [(0, ValueError), (-3, ValueError), (True, TypeError), ("2", TypeError)])
+    def test_bad_jobs_rejected_before_any_probe(self, jobs, error):
+        crossmap = identity_crossmap(["a", "b"])
+        calls = 0
+
+        def counted(array: MassArray) -> MassArray:
+            nonlocal calls
+            calls += 1
+            return apply_transform(crossmap, array)[0]
+
+        with pytest.raises(error, match="jobs"):
+            probe_blackbox(InProcessTransform(counted), crossmap.sources, jobs=jobs)
+        assert calls == 0
 
     def test_nondeterminism_detected(self):
         outputs = iter(
