@@ -258,6 +258,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         for line in Path(args.keys).read_text(encoding="utf-8").splitlines()
         if line.strip()
     ]
+    if not keys:
+        _fail({"error": "usage", "message": f"--keys file {args.keys!r} holds no source keys"})
+        return EXIT_USAGE
     transform = ExternalCommandTransform(shlex.split(args.cmd))
     result = probe_blackbox(
         transform,

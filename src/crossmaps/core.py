@@ -13,7 +13,6 @@ threads.
 
 from __future__ import annotations
 
-import re
 from collections.abc import ItemsView, Iterable, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,45 +60,39 @@ class InvalidCrossmapError(CrossmapError, ValueError):
         super().__init__(f"invalid crossmap: {details}")
 
 
-# Accepted weight/mass tokens: "p/q", a base-10 decimal, or an integer.
-# Deliberately narrower than Fraction's own parser: no exponents, no
-# underscores, no whitespace inside the token.
-_RATIONAL_TOKEN = re.compile(
-    r"""\A
-        (?P<sign>[-+]?)
-        (?:
-            (?P<num>\d+)\s*/\s*(?P<den>\d+)     # p/q
-          | (?P<int>\d+)(?:\.(?P<frac>\d*))?    # 123 or 123.45 or 123.
-          | \.(?P<onlyfrac>\d+)                 # .5
-        )
-    \Z""",
-    re.VERBOSE,
-)
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse ``p/q``, a base-10 decimal, or an integer into an exact value.
 
-    Decimals are read digit-by-digit in base 10, so ``"0.1"`` becomes
-    exactly 1/10 and never the binary double closest to 0.1.
+    Accepted, after trimming surrounding whitespace: an optional sign, then
+    ``p/q`` (whitespace allowed around the ``/``), ``123``, ``123.45``,
+    ``123.`` or ``.5``, with Unicode decimal digits.  Deliberately narrower
+    than Fraction's own parser: no exponents, no underscores, no whitespace
+    elsewhere inside the token.  Decimals are read digit-by-digit in base
+    10, so ``"0.1"`` becomes exactly 1/10 and never the binary double
+    closest to 0.1.
     """
     token = text.strip()
-    m = _RATIONAL_TOKEN.match(token)
-    if m is None:
-        raise ValueError(f"malformed rational {text!r}")
-    sign = -1 if m.group("sign") == "-" else 1
-    if m.group("den") is not None:
-        den = int(m.group("den"))
-        if den == 0:
+    sign = -1 if token[:1] == "-" else 1
+    if token[:1] in ("+", "-"):
+        token = token[1:]
+    num, slash, den = token.partition("/")
+    if slash:
+        num, den = num.rstrip(), den.lstrip()
+        if not (num.isdecimal() and den.isdecimal()):
+            raise ValueError(f"malformed rational {text!r}")
+        q = int(den)
+        if q == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(sign * int(m.group("num")), den)
-    if m.group("onlyfrac") is not None:
-        digits = m.group("onlyfrac")
-        return Fraction(sign * int(digits), 10 ** len(digits))
-    whole = int(m.group("int"))
-    frac = m.group("frac") or ""
-    value = Fraction(whole * 10 ** len(frac) + (int(frac) if frac else 0), 10 ** len(frac))
-    return sign * value
+        return Fraction(sign * int(num), q)
+    whole, _, frac = token.partition(".")
+    # Both parts may be empty, but not together: "123", "123.", ".5".
+    if not (whole + frac).isdecimal():
+        raise ValueError(f"malformed rational {text!r}")
+    if not frac:
+        return Fraction(sign * int(whole))
+    scale = 10 ** len(frac)
+    units = int(whole) * scale if whole else 0
+    return Fraction(sign * (units + int(frac)), scale)
 
 
 def render_rational(value: Fraction) -> str:
@@ -303,6 +296,14 @@ class MassArray(Mapping):
                 raise ValueError(f"duplicate key {key!r}")
             cleaned[key] = None if raw_value is None else _check_weight_type(raw_value)
         object.__setattr__(self, "_entries", dict(sorted(cleaned.items())))
+
+    @classmethod
+    def _from_clean(cls, entries: dict[str, Fraction | None]) -> MassArray:
+        # For entries the library built or already checked: keys stripped,
+        # non-empty and unique, values Fraction or None.  Only sorts them.
+        array = cls.__new__(cls)
+        object.__setattr__(array, "_entries", dict(sorted(entries.items())))
+        return array
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("MassArray is immutable")

@@ -133,7 +133,7 @@ def rationalize(value: Fraction | int | str, max_denominator: int) -> Fraction:
 
 
 def _identity_probe(keys: tuple[str, ...], hot: str) -> MassArray:
-    return MassArray({k: (ONE if k == hot else ZERO) for k in keys})
+    return MassArray._from_clean({k: (ONE if k == hot else ZERO) for k in keys})
 
 
 def probe_blackbox(

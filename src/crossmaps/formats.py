@@ -195,7 +195,7 @@ def read_array(source: str | Path | TextIO) -> MassArray:
             problems.append((lineno, str(exc)))
     if problems:
         raise ParseError(name, problems)
-    return MassArray(entries)
+    return MassArray._from_clean(entries)
 
 
 def write_array(array: MassArray) -> str:

@@ -19,8 +19,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Literal
 
-from .core import Crossmap, Edge, MassArray, ONE, ZERO, _exact_total, render_rational
-from .transform import TransformOptions, _require_clean
+from .core import Crossmap, Edge, MassArray, ONE, ZERO, render_rational
+from .transform import TransformOptions, _require_clean, _split_totals
 
 __all__ = [
     "Component",
@@ -258,8 +258,6 @@ def imputation_metrics(crossmap: Crossmap, array: MassArray | None = None) -> Im
     if array is None:
         return metrics
     _require_clean(crossmap, array, TransformOptions())
-    total = array.total
-    outgoing = crossmap.outgoing
-    entering = _exact_total(v for k, v in array.items() if len(outgoing[k]) > 1)
+    total, entering = _split_totals(crossmap, array)
     realized = ZERO if total == ZERO else entering / total
     return replace(metrics, realized_split_mass_share=realized)

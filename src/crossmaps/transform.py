@@ -143,6 +143,16 @@ def _require_clean(crossmap: Crossmap, array: MassArray, options: TransformOptio
     return coverage
 
 
+def _split_totals(crossmap: Crossmap, array: MassArray) -> tuple[Fraction, Fraction]:
+    # (total mass, mass on split sources) of an array with no missing
+    # values, in one pass; a key the crossmap does not cover counts toward
+    # the total only.
+    split = frozenset(crossmap.split_sources)
+    sums = _exact_sums((k in split, *m.as_integer_ratio()) for k, m in array.items() if m)
+    split_mass = sums.get(True, ZERO)
+    return split_mass + sums.get(False, ZERO), split_mass
+
+
 def apply_transform(
     crossmap: Crossmap,
     array: MassArray,
@@ -168,15 +178,15 @@ def apply_transform(
                     yield edge.target, p * n, q * d
 
     accumulated = _exact_sums(terms())
-    split_mass = _exact_total(m for k, m in array.items() if len(outgoing.get(k, ())) > 1)
+    input_total, split_mass = _split_totals(crossmap, array)
 
     if options.emit_zero_targets:
         entries = {t: accumulated.get(t, ZERO) for t in crossmap.targets}
     else:
         entries = {t: v for t, v in accumulated.items() if v != ZERO}
-    output = MassArray(entries)
+    output = MassArray._from_clean(entries)
     receipt = TransformReceipt(
-        input_total=array.total,
+        input_total=input_total,
         output_total=output.total,
         dropped_mass=coverage.mass_at_risk,
         split_mass=split_mass,
@@ -215,7 +225,7 @@ def drop_keys(array: MassArray, keys: set[str] | frozenset[str] | tuple[str, ...
     to_drop = {clean_key(k) for k in keys}
     kept = {k: v for k, v in array.items() if k not in to_drop}
     dropped_mass = _exact_total(v for k, v in array.items() if k in to_drop and v is not None)
-    return MassArray(kept), dropped_mass
+    return MassArray._from_clean(kept), dropped_mass
 
 
 def append_keys(array: MassArray, new_entries: Mapping[str, Fraction | int]) -> MassArray:

@@ -293,6 +293,17 @@ class TestExtract:
         assert json.loads(capsys.readouterr().err)["error"] == "probe"
         assert not (tmp_path / "x.csv").exists()
 
+    def test_empty_keys_file_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        keys = tmp_path / "keys.txt"
+        keys.write_text("\n  \n", encoding="utf-8")
+        monkeypatch.setattr(cli, "probe_blackbox", lambda *a, **k: pytest.fail("probed with no keys"))
+        code = main(["extract", "--cmd", "true", "--keys", str(keys), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "usage"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_probe_failure_exits_three(self, tmp_path, capsys):
         keys = tmp_path / "keys.txt"
         keys.write_text("a\n", encoding="utf-8")

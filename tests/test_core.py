@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import io
 import random
+import re
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from crossmaps import core
 from crossmaps.core import (
@@ -23,12 +27,66 @@ from crossmaps.core import (
     render_rational,
     validate_draft,
 )
-from crossmaps.transform import apply_transform
+from crossmaps.extraction import InProcessTransform, probe_blackbox
+from crossmaps.formats import read_array
+from crossmaps.transform import TransformOptions, apply_transform, drop_keys
 
-from helpers import random_crossmap
+from helpers import random_crossmap, random_mass_array
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
+
+
+# The regex parser that parse_rational replaced, kept verbatim as the
+# oracle for the equivalence property below.
+_RATIONAL_TOKEN = re.compile(
+    r"""\A
+        (?P<sign>[-+]?)
+        (?:
+            (?P<num>\d+)\s*/\s*(?P<den>\d+)     # p/q
+          | (?P<int>\d+)(?:\.(?P<frac>\d*))?    # 123 or 123.45 or 123.
+          | \.(?P<onlyfrac>\d+)                 # .5
+        )
+    \Z""",
+    re.VERBOSE,
+)
+
+
+def regex_parse_rational(text: str) -> Fraction:
+    token = text.strip()
+    m = _RATIONAL_TOKEN.match(token)
+    if m is None:
+        raise ValueError(f"malformed rational {text!r}")
+    sign = -1 if m.group("sign") == "-" else 1
+    if m.group("den") is not None:
+        den = int(m.group("den"))
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(sign * int(m.group("num")), den)
+    if m.group("onlyfrac") is not None:
+        digits = m.group("onlyfrac")
+        return Fraction(sign * int(digits), 10 ** len(digits))
+    whole = int(m.group("int"))
+    frac = m.group("frac") or ""
+    value = Fraction(whole * 10 ** len(frac) + (int(frac) if frac else 0), 10 ** len(frac))
+    return sign * value
+
+
+def outcome(parse, text: str) -> tuple[str, object]:
+    try:
+        return "value", parse(text)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+# Characters where the two parsers could part: ASCII and non-ASCII decimal
+# digits (Arabic-Indic one), a digit that is not decimal (superscript two),
+# exponent and underscore (accepted by Fraction and int), and whitespace
+# including the file separator \x1c and the ideographic space.
+TOKEN_PIECES = st.one_of(
+    st.text(alphabet="0123456789\u0661\u00b2+-./e_ \t\x1c\u3000", max_size=8),
+    st.integers(sys.get_int_max_str_digits() - 2, sys.get_int_max_str_digits() + 3).map(lambda n: "7" * n),
+)
 
 
 def country_draft() -> EdgeListDraft:
@@ -65,6 +123,18 @@ class TestParseRational:
     def test_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_rational(bad)
+
+    @given(st.lists(TOKEN_PIECES, max_size=4).map("".join))
+    @example("\u0661/\u0663")
+    @example("\u00b2")
+    @example("\x1c-1 \u3000/\t2\x1c")
+    @example("-7." + "7" * sys.get_int_max_str_digits())
+    @example("7" * (sys.get_int_max_str_digits() + 1) + "/0")
+    def test_matches_the_regex_parser(self, text):
+        new, old = outcome(parse_rational, text), outcome(regex_parse_rational, text)
+        assert new == old
+        if new[0] == "value":
+            assert type(new[1]) is Fraction
 
     @given(st.fractions())
     def test_render_then_parse_is_identity(self, value):
@@ -228,3 +298,72 @@ class TestMassArray:
         array = MassArray({"a": 1})
         with pytest.raises(TypeError):
             array["a"] = 2  # Mapping, not MutableMapping
+
+    def test_rejects_empty_key(self):
+        with pytest.raises(ValueError):
+            MassArray({" \t": 1})
+
+
+@pytest.fixture
+def entry_checks(monkeypatch) -> Counter:
+    """Counts calls of the per-entry checks the public MassArray constructor runs."""
+    calls: Counter = Counter()
+    for name in ("clean_key", "_check_weight_type"):
+        def spy(value, _name=name, _check=getattr(core, name)):
+            calls[_name] += 1
+            return _check(value)
+
+        monkeypatch.setattr(core, name, spy)
+    return calls
+
+
+def assert_canonical(array: MassArray) -> None:
+    assert list(array) == sorted(array)
+    assert array == MassArray(dict(array.items()))
+
+
+class TestLibraryBuiltArrays:
+    """Arrays the library builds from checked entries skip the per-entry checks."""
+
+    def test_read_array(self, entry_checks):
+        text = "key,value\n b ,1/3\na,NA\nc,-2.5\n"
+        array = read_array(io.StringIO(text))
+        assert not entry_checks
+        assert dict(array.items()) == {"a": None, "b": Fraction(1, 3), "c": Fraction(-5, 2)}
+        assert_canonical(array)
+
+    @pytest.mark.parametrize("emit_zero_targets", [True, False])
+    def test_apply_transform(self, emit_zero_targets, entry_checks):
+        rng = random.Random(7)
+        crossmap = random_crossmap(rng, max_sources=10, max_targets=10)
+        array = random_mass_array(rng, crossmap.sources)
+        entry_checks.clear()
+        out, _ = apply_transform(crossmap, array, TransformOptions(emit_zero_targets=emit_zero_targets))
+        assert not entry_checks
+        assert_canonical(out)
+
+    def test_drop_keys(self, entry_checks):
+        array = MassArray({"c": 3, "a": 1, "b": None})
+        entry_checks.clear()
+        kept, dropped = drop_keys(array, {"a"})
+        assert not entry_checks
+        assert (dict(kept.items()), dropped) == ({"b": None, "c": Fraction(3)}, ONE)
+        assert_canonical(kept)
+
+    def test_probe_session(self, entry_checks):
+        crossmap = random_crossmap(random.Random(11), max_sources=8, max_targets=8)
+        probes: list[MassArray] = []
+
+        def fn(array: MassArray) -> MassArray:
+            probes.append(array)
+            return apply_transform(crossmap, array)[0]
+
+        entry_checks.clear()
+        result = probe_blackbox(InProcessTransform(fn), reversed(crossmap.sources))
+        assert result.crossmap == crossmap
+        # Only the recovered crossmap's edges are checked, once per key and weight.
+        edges = len(result.crossmap.edges)
+        assert entry_checks == Counter(clean_key=2 * edges, _check_weight_type=edges)
+        assert len(probes) == len(crossmap.sources) + 1
+        for array in probes + list(result.raw_weights.values()):
+            assert_canonical(array)
