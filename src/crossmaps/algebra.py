@@ -120,7 +120,7 @@ def compose(first: Crossmap, second: Crossmap) -> Crossmap:
                 yield (left.source, right.target), a * n, b * d
 
     accumulated = _exact_sums(terms())
-    return Crossmap(Edge(s, t, w) for (s, t), w in accumulated.items())
+    return Crossmap(Edge._from_clean(s, t, w) for (s, t), w in accumulated.items())
 
 
 def reverse(crossmap: Crossmap) -> Crossmap | ValidationReport:
@@ -131,6 +131,6 @@ def reverse(crossmap: Crossmap) -> Crossmap | ValidationReport:
     returns a report naming each such key with its exact reversed sum.
     """
     try:
-        return Crossmap(Edge(e.target, e.source, e.weight) for e in crossmap.edges)
+        return Crossmap(Edge._from_clean(e.target, e.source, e.weight) for e in crossmap.edges)
     except InvalidCrossmapError as exc:
         return exc.report

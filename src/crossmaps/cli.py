@@ -38,7 +38,7 @@ from .formats import (
     write_array,
     write_edge_list,
 )
-from .graph import classify, components, imputation_metrics, summarize
+from .graph import components, imputation_metrics, summarize
 from .transform import (
     CoverageError,
     MissingValueError,
@@ -191,7 +191,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     else:
         for index, component in enumerate(found):
             sys.stdout.write(
-                f"component {index} [{classify(component)}] "
+                f"component {index} [{component.relation_type}] "
                 f"sources: {', '.join(component.sources)} -> "
                 f"targets: {', '.join(component.targets)}\n"
             )
@@ -253,11 +253,9 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     if tolerance is None or tolerance < 0:
         _fail({"error": "usage", "message": f"--tolerance must be a non-negative number, got {args.tolerance!r}"})
         return EXIT_USAGE
-    keys = [
-        line.strip()
-        for line in Path(args.keys).read_text(encoding="utf-8").splitlines()
-        if line.strip()
-    ]
+    source = _source(args.keys)
+    text = source.read() if source is sys.stdin else Path(source).read_text(encoding="utf-8")
+    keys = [line.strip() for line in text.splitlines() if line.strip()]
     if not keys:
         _fail({"error": "usage", "message": f"--keys file {args.keys!r} holds no source keys"})
         return EXIT_USAGE
@@ -366,7 +364,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extract", help="recover the crossmap inside an opaque command by probing")
     p.add_argument("--cmd", required=True, help="command reading an array CSV on stdin, writing one on stdout")
-    p.add_argument("--keys", required=True, help="file with one source key per line")
+    p.add_argument("--keys", required=True, help="file with one source key per line; - reads standard input")
     p.add_argument("--tolerance", default="1e-9")
     p.add_argument("--rationalize-max-den", type=_positive_int(), default=None)
     p.add_argument("--jobs", type=_positive_int(MAX_JOBS), default=1)

@@ -100,16 +100,15 @@ def render_rational(value: Fraction) -> str:
     return str(value)
 
 
-def _exact_sums(terms: Iterable[tuple[K, int, int]]) -> dict[K, Fraction]:
+def _exact_pairs(terms: Iterable[tuple[K, int, int]]) -> dict[K, list[int]]:
     """Exact sum per key of the terms ``(key, numerator, denominator)``, denominators positive.
 
     Each key keeps one integer numerator over a running common denominator,
     which only ever grows to the lcm of its term denominators: a term whose
     denominator divides it is scaled up to it, any other term rescales the
-    sum to the lcm.  The result is reduced once per key, so it is the same
-    canonical ``Fraction`` that adding the terms one by one would give,
-    without a ``Fraction`` object and a gcd per term.  Keys keep first-seen
-    order.
+    sum to the lcm.  The sums come back as unreduced ``[numerator,
+    denominator]`` pairs, with no ``Fraction`` object and no gcd per term;
+    the denominator stays positive.  Keys keep first-seen order.
     """
     acc: dict[K, list[int]] = {}
     for key, n, d in terms:
@@ -127,7 +126,12 @@ def _exact_sums(terms: Iterable[tuple[K, int, int]]) -> dict[K, Fraction]:
         else:
             pair[0] = pair[0] * (d // g) + n * (common // g)
             pair[1] = common // g * d
-    return {key: Fraction(n, d) for key, (n, d) in acc.items()}
+    return acc
+
+
+def _exact_sums(terms: Iterable[tuple[K, int, int]]) -> dict[K, Fraction]:
+    """:func:`_exact_pairs` reduced once per key: the canonical ``Fraction`` sums."""
+    return {key: Fraction(n, d) for key, (n, d) in _exact_pairs(terms).items()}
 
 
 def _exact_total(values: Iterable[Fraction]) -> Fraction:
@@ -160,7 +164,7 @@ def _check_weight_type(weight: Fraction) -> Fraction:
     return weight
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """One weighted link: ``source`` distributes ``weight`` of its value to ``target``.
 
@@ -177,6 +181,16 @@ class Edge:
         object.__setattr__(self, "source", clean_key(self.source))
         object.__setattr__(self, "target", clean_key(self.target))
         object.__setattr__(self, "weight", _check_weight_type(self.weight))
+
+    @classmethod
+    def _from_clean(cls, source: str, target: str, weight: Fraction) -> Edge:
+        # For keys the caller already stripped and found non-empty and a
+        # weight that is already a Fraction.  Sets the fields, checks nothing.
+        edge = object.__new__(cls)
+        object.__setattr__(edge, "source", source)
+        object.__setattr__(edge, "target", target)
+        object.__setattr__(edge, "weight", weight)
+        return edge
 
 
 @dataclass(frozen=True)
@@ -350,6 +364,7 @@ def _validate_edges(edges: tuple[Edge, ...]) -> ValidationReport:
             )
         )
     seen: set[tuple[str, str]] = set()
+    terms: list[tuple[str, int, int]] = []
     for edge in edges:
         pair = (edge.source, edge.target)
         if pair in seen:
@@ -363,6 +378,7 @@ def _validate_edges(edges: tuple[Edge, ...]) -> ValidationReport:
             )
         seen.add(pair)
         n, d = edge.weight.as_integer_ratio()
+        terms.append((edge.source, n, d))
         # Fraction denominators are positive, so 0 < n/d <= 1 iff 0 < n <= d.
         if not 0 < n <= d:
             findings.append(
@@ -374,10 +390,13 @@ def _validate_edges(edges: tuple[Edge, ...]) -> ValidationReport:
                     value=edge.weight,
                 )
             )
-    sums = _exact_sums((e.source, *e.weight.as_integer_ratio()) for e in edges)
+    sums = _exact_pairs(terms)
     for source in sorted(sums):
-        total = sums[source]
-        if total != ONE:
+        n, d = sums[source]
+        # Unreduced, but with d > 0 the sum is 1 iff n == d; only a failing
+        # sum needs its reduced Fraction, for the finding.
+        if n != d:
+            total = Fraction(n, d)
             findings.append(
                 Finding(
                     severity="error",
@@ -419,4 +438,4 @@ def identity_crossmap(keys: Iterable[str]) -> Crossmap:
     cleaned = [clean_key(k) for k in keys]
     if not cleaned:
         raise ValueError("identity crossmap needs at least one key")
-    return Crossmap(Edge(k, k, ONE) for k in dict.fromkeys(cleaned))
+    return Crossmap(Edge._from_clean(k, k, ONE) for k in dict.fromkeys(cleaned))

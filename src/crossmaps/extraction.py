@@ -205,7 +205,7 @@ def probe_blackbox(
         if total != ONE or any(not 0 < w.numerator <= w.denominator for w in weights.values()):
             nonconforming.append((key, total))
         else:
-            edges.extend(Edge(key, target, w) for target, w in weights.items())
+            edges.extend(Edge._from_clean(key, target, w) for target, w in weights.items())
 
     return ExtractionResult(
         crossmap=None if nonconforming else Crossmap(edges),

@@ -29,7 +29,6 @@ from .core import (
     MassArray,
     ONE,
     ValidationReport,
-    ZERO,
     parse_rational,
     render_rational,
 )
@@ -110,7 +109,8 @@ def read_edge_list(source: str | Path | TextIO) -> EdgeListDraft:
             problems.append((lineno, f"expected 3 fields, got {len(row)}"))
             continue
         raw_from, raw_to, raw_weight = row
-        if not raw_from.strip() or not raw_to.strip():
+        source, target = raw_from.strip(), raw_to.strip()
+        if not source or not target:
             problems.append((lineno, "blank key"))
             continue
         try:
@@ -118,10 +118,12 @@ def read_edge_list(source: str | Path | TextIO) -> EdgeListDraft:
         except ValueError as exc:
             problems.append((lineno, str(exc)))
             continue
-        if not ZERO < weight <= ONE:
+        n, d = weight.as_integer_ratio()
+        # Fraction denominators are positive, so 0 < n/d <= 1 iff 0 < n <= d.
+        if not 0 < n <= d:
             problems.append((lineno, f"weight must be in (0, 1], got {render_rational(weight)}"))
             continue
-        edges.append(Edge(raw_from, raw_to, weight))
+        edges.append(Edge._from_clean(source, target, weight))
     if problems:
         raise ParseError(name, problems)
     return EdgeListDraft(edges)
@@ -267,7 +269,7 @@ def import_crosswalk(
     for from_key in sorted(targets_for):
         targets = targets_for[from_key]
         if len(targets) == 1:
-            edges.append(Edge(from_key, targets[0], ONE))
+            edges.append(Edge._from_clean(from_key, targets[0], ONE))
             continue
         if split_policy == "reject_splits":
             findings.append(
@@ -295,7 +297,7 @@ def import_crosswalk(
                 value=share,
             )
         )
-        edges.extend(Edge(from_key, t, share) for t in targets)
+        edges.extend(Edge._from_clean(from_key, t, share) for t in targets)
     report = ValidationReport(tuple(findings))
     if not report.ok:
         return None, report

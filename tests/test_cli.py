@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -182,6 +185,17 @@ class TestClassifySummarize:
         assert out.count("component ") == 3
         assert "one_to_many" in out and "many_to_one" in out and "one_to_one" in out
 
+    def test_classify_text_and_json_agree(self, tmp_path, capsys):
+        path = tmp_path / "mixed.csv"
+        path.write_text(COUNTRY_CSV + "m1,n1,1/2\nm1,n2,1/2\nm2,n1,1\n", encoding="utf-8")
+        assert main(["classify", str(path)]) == 0
+        text = capsys.readouterr().out
+        assert main(["classify", str(path), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        reported = re.findall(r"^component (\d+) \[(\w+)\]", text, re.MULTILINE)
+        assert reported == [(str(i), c["relation_type"]) for i, c in enumerate(payload)]
+        assert len({c["relation_type"] for c in payload}) == 4
+
     def test_classify_json(self, country_file, capsys):
         assert main(["classify", country_file, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -303,6 +317,27 @@ class TestExtract:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "usage"
         assert not (tmp_path / "x.csv").exists()
+
+    def test_keys_from_standard_input(self, tmp_path):
+        out, record = tmp_path / "x.csv", tmp_path / "provenance.jsonl"
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "crossmaps.cli", "extract",
+                "--cmd", "cat",
+                "--keys", "-",
+                "--out", str(out),
+                "--provenance", str(record),
+            ],
+            input=b"b\n a \n\n",
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert out.read_text(encoding="utf-8") == "from,to,weight\na,a,1\nb,b,1\n"
+        assert json.loads(record.read_text(encoding="utf-8"))["inputs"] == {}
 
     def test_probe_failure_exits_three(self, tmp_path, capsys):
         keys = tmp_path / "keys.txt"

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from crossmaps import core
+from crossmaps.algebra import compose, reverse
 from crossmaps.core import (
     Crossmap,
     Edge,
@@ -28,10 +29,10 @@ from crossmaps.core import (
     validate_draft,
 )
 from crossmaps.extraction import InProcessTransform, probe_blackbox
-from crossmaps.formats import read_array
+from crossmaps.formats import import_crosswalk, read_array, read_edge_list
 from crossmaps.transform import TransformOptions, apply_transform, drop_keys
 
-from helpers import random_crossmap, random_mass_array
+from helpers import random_chain, random_crossmap, random_mass_array
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -165,6 +166,13 @@ class TestEdge:
 
     def test_int_weight_coerced_exactly(self):
         assert Edge("a", "b", 1).weight == Fraction(1)
+
+    @pytest.mark.parametrize("blank", ["", " ", "\t\n"])
+    def test_rejects_blank_keys(self, blank):
+        with pytest.raises(ValueError):
+            Edge(blank, "b", ONE)
+        with pytest.raises(ValueError):
+            Edge("a", blank, ONE)
 
 
 class TestBuildCrossmap:
@@ -306,7 +314,7 @@ class TestMassArray:
 
 @pytest.fixture
 def entry_checks(monkeypatch) -> Counter:
-    """Counts calls of the per-entry checks the public MassArray constructor runs."""
+    """Counts calls of the per-entry checks the public MassArray and Edge constructors run."""
     calls: Counter = Counter()
     for name in ("clean_key", "_check_weight_type"):
         def spy(value, _name=name, _check=getattr(core, name)):
@@ -361,9 +369,80 @@ class TestLibraryBuiltArrays:
         entry_checks.clear()
         result = probe_blackbox(InProcessTransform(fn), reversed(crossmap.sources))
         assert result.crossmap == crossmap
-        # Only the recovered crossmap's edges are checked, once per key and weight.
-        edges = len(result.crossmap.edges)
-        assert entry_checks == Counter(clean_key=2 * edges, _check_weight_type=edges)
+        # The recovered edges reuse the probed keys and exact weights unchecked.
+        assert not entry_checks
         assert len(probes) == len(crossmap.sources) + 1
         for array in probes + list(result.raw_weights.values()):
             assert_canonical(array)
+
+
+def assert_as_if_checked(edges) -> None:
+    """Each edge is exactly what the public, checking constructor makes of it."""
+    for edge in edges:
+        assert type(edge.weight) is Fraction
+        assert edge == Edge(edge.source, edge.target, edge.weight)
+
+
+def padded(rng: random.Random, key: str) -> str:
+    return rng.choice(["", " ", "\t"]) + key + rng.choice(["", " "])
+
+
+def one_to_one(rng: random.Random) -> Crossmap:
+    n = rng.randint(1, 8)
+    return Crossmap(Edge(f"s{i}", f"t{j}", ONE) for i, j in enumerate(rng.sample(range(n), n)))
+
+
+class TestLibraryBuiltEdges:
+    """Edges the library builds from stripped keys and exact weights skip Edge's checks."""
+
+    def test_read_edge_list(self, entry_checks):
+        draft = read_edge_list(io.StringIO("from,to,weight\n a ,\tx,1/2\na, y ,0.5\n"))
+        assert not entry_checks
+        assert draft.edges == (Edge("a", "x", HALF), Edge("a", "y", HALF))
+        assert_as_if_checked(draft.edges)
+
+    def test_compose(self, entry_checks):
+        first, second = random_chain(random.Random(3))
+        entry_checks.clear()
+        composed = compose(first, second)
+        assert not entry_checks
+        assert_as_if_checked(composed.edges)
+
+    def test_reverse(self, entry_checks):
+        crossmap = one_to_one(random.Random(5))
+        entry_checks.clear()
+        reversed_map = reverse(crossmap)
+        assert not entry_checks
+        assert isinstance(reversed_map, Crossmap)
+        assert_as_if_checked(reversed_map.edges)
+
+    def test_import_crosswalk(self, entry_checks):
+        crossmap, _ = import_crosswalk(io.StringIO("from,to\n a ,x\nb,x\nb, y\n"), "equal_split")
+        assert not entry_checks
+        assert crossmap.edges == (Edge("a", "x", ONE), Edge("b", "x", HALF), Edge("b", "y", HALF))
+        assert_as_if_checked(crossmap.edges)
+
+    def test_identity_crossmap(self, entry_checks):
+        crossmap = identity_crossmap([" b", "a", "b"])
+        # Each input key is cleaned once, where it comes in; its edge is not checked again.
+        assert entry_checks == Counter(clean_key=3)
+        assert crossmap.edges == (Edge("a", "a", ONE), Edge("b", "b", ONE))
+
+    @given(st.integers(0, 10_000))
+    def test_every_built_edge_equals_a_checked_edge(self, seed):
+        rng = random.Random(seed)
+        crossmap = random_crossmap(rng, max_sources=6, max_targets=6)
+        rows = "".join(f"{padded(rng, e.source)},{padded(rng, e.target)},{e.weight}\n" for e in crossmap.edges)
+        pairs = "".join(f"{padded(rng, e.source)},{padded(rng, e.target)}\n" for e in crossmap.edges)
+        imported, _ = import_crosswalk(io.StringIO("from,to\n" + pairs), "equal_split")
+        probed = probe_blackbox(InProcessTransform(lambda a: apply_transform(crossmap, a)[0]), crossmap.sources)
+        built = {
+            "read_edge_list": read_edge_list(io.StringIO("from,to,weight\n" + rows)).edges,
+            "compose": compose(*random_chain(rng)).edges,
+            "reverse": reverse(one_to_one(rng)).edges,
+            "import_crosswalk": imported.edges,
+            "probe_blackbox": probed.crossmap.edges,
+        }
+        for edges in built.values():
+            assert edges
+            assert_as_if_checked(edges)

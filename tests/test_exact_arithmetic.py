@@ -12,10 +12,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, strategies as st
 
 from crossmaps.algebra import compose
-from crossmaps.core import Crossmap, Edge, EdgeListDraft, MassArray, validate_draft
+from crossmaps.core import Crossmap, Edge, EdgeListDraft, Finding, MassArray, validate_draft
 from crossmaps.transform import TransformOptions, apply_transform
 
 from helpers import _positive_partition, random_chain, random_crossmap, random_mass_array
@@ -203,6 +204,35 @@ class TestValidationMatchesReference:
         assert reference_findings(list(crossmap.edges)) == []
 
 
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            (Fraction(1, 3), Fraction(1, 3)),
+            (ONE, ONE),
+            (Fraction(1, 6), Fraction(1, 3)),
+            (Fraction(2, 3), Fraction(2, 3)),
+            (Fraction(1, 4), Fraction(1, 4), Fraction(1, 2)),
+            (Fraction(1, BIG), Fraction(1, BIG - 1)),
+        ],
+    )
+    def test_weight_sum_findings(self, weights):
+        # Sums whose unreduced common denominator differs from the reduced one.
+        edges = [Edge("s", f"t{i}", w) for i, w in enumerate(weights)]
+        total = sum(weights, ZERO)
+        expected = [] if total == ONE else [
+            Finding(
+                severity="error",
+                code="weight_sum_not_one",
+                subject="s",
+                message=f"outgoing weights of source 's' sum to {total}, expected exactly 1",
+                value=total,
+            )
+        ]
+        findings = validate_draft(EdgeListDraft(edges)).findings
+        assert list(findings) == expected
+        assert all(type(f.value) is Fraction for f in findings)
+
+
 class TestExactSums:
     # The accumulation primitive itself, on its boundary cases.
     def sums(self, terms):
@@ -225,6 +255,11 @@ class TestExactSums:
         result = self.sums([("k", 1, 2), ("k", 1, 3), ("k", 1, 5), ("k", -1, 7)])
         assert result == {"k": Fraction(1, 2) + Fraction(1, 3) + Fraction(1, 5) - Fraction(1, 7)}
         assert result["k"].denominator == 210
+
+    def test_pairs_stay_unreduced(self):
+        from crossmaps.core import _exact_pairs
+
+        assert _exact_pairs([("k", 1, 4), ("k", 1, 4), ("k", 1, 2), ("j", 2, 6)]) == {"k": [4, 4], "j": [2, 6]}
 
     def test_keys_keep_first_seen_order(self):
         result = self.sums([("b", 1, 4), ("a", 1, 6), ("b", 1, 6), ("a", 1, 4)])

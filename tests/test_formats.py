@@ -7,7 +7,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from crossmaps.core import (
     Crossmap,
@@ -52,6 +52,17 @@ def country_map() -> Crossmap:
     return built
 
 
+WEIGHT_TOKENS = st.one_of(
+    st.builds(lambda n, d: f"{n}/{d}", st.integers(-4, 12), st.integers(1, 9)),
+    st.builds(
+        lambda sign, whole, frac: f"{sign}{whole}.{frac}",
+        st.sampled_from(["", "+", "-"]),
+        st.integers(0, 2),
+        st.text("0123456789", min_size=1, max_size=5),
+    ),
+)
+
+
 class TestEdgeListFiles:
     def test_read_country_table(self):
         draft = read_edge_list(io.StringIO(COUNTRY_CSV))
@@ -66,6 +77,24 @@ class TestEdgeListFiles:
         with pytest.raises(ParseError) as excinfo:
             read_edge_list(io.StringIO("from,to,weight\na,b,0\n"))
         assert excinfo.value.problems == ((2, "weight must be in (0, 1], got 0"),)
+
+    @given(WEIGHT_TOKENS)
+    @example("0")
+    @example("-0")
+    @example("-1/2")
+    @example("2/2")
+    @example("3/2")
+    @example("1.0")
+    @example("1.0001")
+    def test_accepts_exactly_the_weights_in_zero_to_one(self, token):
+        weight = Fraction(token)
+        text = f"from,to,weight\na,b,{token}\n"
+        if 0 < weight <= 1:
+            assert read_edge_list(io.StringIO(text)).edges == (Edge("a", "b", weight),)
+        else:
+            with pytest.raises(ParseError) as excinfo:
+                read_edge_list(io.StringIO(text))
+            assert excinfo.value.problems == ((2, f"weight must be in (0, 1], got {weight}"),)
 
     def test_all_bad_rows_reported(self):
         text = "from,to,weight\na,b,2\n,b,1\na,c,oops\na,d,1\n"
