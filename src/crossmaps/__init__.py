@@ -55,7 +55,6 @@ from .graph import (
     Component,
     CrossmapSummary,
     ImputationMetrics,
-    classify,
     components,
     imputation_metrics,
     summarize,
@@ -115,7 +114,6 @@ __all__ = [
     "check_array",
     "check_coverage",
     "check_mass_preserving",
-    "classify",
     "components",
     "compose",
     "export_dot",

@@ -276,6 +276,15 @@ class Crossmap:
         return {s: tuple(es) for s, es in groupby(self.edges, key=lambda e: e.source)}
 
     @cached_property
+    def incoming(self) -> Mapping[str, tuple[str, ...]]:
+        """Source keys grouped by target key, both in canonical order."""
+        grouped: dict[str, list[str]] = {t: [] for t in self.targets}
+        # Edges are sorted by source, so each list fills in sorted order.
+        for e in self.edges:
+            grouped[e.target].append(e.source)
+        return {t: tuple(sources) for t, sources in grouped.items()}
+
+    @cached_property
     def split_sources(self) -> tuple[str, ...]:
         """Source keys with more than one outgoing edge (value is divided)."""
         return tuple(s for s, es in self.outgoing.items() if len(es) > 1)
@@ -363,11 +372,12 @@ def _validate_edges(edges: tuple[Edge, ...]) -> ValidationReport:
                 message="a crossmap needs at least one edge",
             )
         )
-    seen: set[tuple[str, str]] = set()
+    # The edges come sorted by (source, target), so a duplicate pair always
+    # directly follows its twin.
+    previous_source = previous_target = None
     terms: list[tuple[str, int, int]] = []
     for edge in edges:
-        pair = (edge.source, edge.target)
-        if pair in seen:
+        if edge.target == previous_target and edge.source == previous_source:
             findings.append(
                 Finding(
                     severity="error",
@@ -376,7 +386,7 @@ def _validate_edges(edges: tuple[Edge, ...]) -> ValidationReport:
                     message=f"duplicate edge ({edge.source}, {edge.target})",
                 )
             )
-        seen.add(pair)
+        previous_source, previous_target = edge.source, edge.target
         n, d = edge.weight.as_integer_ratio()
         terms.append((edge.source, n, d))
         # Fraction denominators are positive, so 0 < n/d <= 1 iff 0 < n <= d.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from importlib.resources import files
 
 from .core import Crossmap, Edge, ONE
@@ -36,11 +37,13 @@ def occupation_recode_path() -> str:
     return str(files("crossmaps").joinpath("data/occupation_recode.csv"))
 
 
+@cache
 def occupation_recode() -> Crossmap:
     """Aggregation of 329 four-digit occupation codes into 12 broad groups.
 
     The mapping was recovered by probing a legacy survey-processing script
     that banded codes with chained range conditions; every weight is 1 and
-    each component is a rename or an aggregation.
+    each component is a rename or an aggregation.  The file is read once;
+    every call returns the same immutable crossmap.
     """
     return Crossmap(read_edge_list(occupation_recode_path()).edges)

@@ -80,7 +80,12 @@ def _open_rows(source: str | Path | TextIO) -> tuple[str, list[list[str]]]:
     else:
         name = str(source)
         text = Path(source).read_text(encoding="utf-8")
-    return name, list(csv.reader(io.StringIO(text, newline="")))
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        return name, list(reader)
+    except csv.Error as exc:
+        # E.g. a field over csv.field_size_limit(): reported like any bad row.
+        raise ParseError(name, [(reader.line_num, str(exc))]) from exc
 
 
 def _check_header(name: str, rows: list[list[str]], expected: list[str]) -> None:

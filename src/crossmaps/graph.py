@@ -8,13 +8,14 @@ Renames and aggregations carry no imputation assumptions — their weights
 are forced to 1 — so partitioning a crossmap this way shows exactly where
 scrutiny belongs.
 
-The same key text may appear on both sides (an identity edge), so nodes
-are tracked as (side, key) pairs internally.
+Components are found by walking the crossmap's own two indexes, source to
+target through ``outgoing`` and target to source through ``incoming``, so
+the same key text on both sides (an identity edge) names two distinct
+nodes without any extra bookkeeping.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Literal
@@ -28,7 +29,6 @@ __all__ = [
     "ImputationMetrics",
     "RelationType",
     "TargetSummary",
-    "classify",
     "components",
     "imputation_metrics",
     "summarize",
@@ -65,34 +65,21 @@ class Component:
         }
 
 
-def _classify_edges(edges: tuple[Edge, ...]) -> RelationType:
-    # Single-edge components are renames, full stop; the hub rule below
-    # would also match them, so this check runs first.
-    if len(edges) == 1:
-        return "one_to_one"
-    degree: dict[tuple[str, str], int] = {}
-    for e in edges:
-        degree[("s", e.source)] = degree.get(("s", e.source), 0) + 1
-        degree[("t", e.target)] = degree.get(("t", e.target), 0) + 1
-    hubs = [node for node, d in degree.items() if d == len(edges)]
-    if len(hubs) == 1 and all(d == 1 for node, d in degree.items() if node != hubs[0]):
-        return "one_to_many" if hubs[0][0] == "s" else "many_to_one"
-    return "many_to_many"
-
-
-def classify(component: Component) -> RelationType:
-    """Relation type of a component, recomputed from its edges.
-
-    one_to_one: exactly one edge.  one_to_many / many_to_one: a single hub
-    node touches every edge and all other nodes have degree 1; the side
-    holding the hub picks the direction.  Everything else: many_to_many.
-    """
-    return _classify_edges(component.edges)
+def _relation_type(sources: tuple[str, ...], targets: tuple[str, ...]) -> RelationType:
+    # A connected component without duplicate edges has a node touching
+    # every edge, with all other nodes of degree 1, exactly when one side
+    # holds a single key; so the key counts alone decide the type.
+    if len(sources) == 1:
+        return "one_to_one" if len(targets) == 1 else "one_to_many"
+    return "many_to_one" if len(targets) == 1 else "many_to_many"
 
 
 def components(crossmap: Crossmap) -> tuple[Component, ...]:
     """Partition the crossmap into disjoint components, ordered by smallest source key.
 
+    A component with one source key is one_to_one when it also has one
+    target key and one_to_many otherwise; with several source keys it is
+    many_to_one when it has one target key and many_to_many otherwise.
     Non-split relation types (one_to_one, many_to_one) are asserted to carry
     only unit weights — the weight-sum rule forces this, so a violation
     would mean a corrupted crossmap.  The partition is computed once per
@@ -102,45 +89,34 @@ def components(crossmap: Crossmap) -> tuple[Component, ...]:
 
 
 def _find_components(crossmap: Crossmap) -> tuple[Component, ...]:
-    adjacency: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for e in crossmap.edges:
-        s, t = ("s", e.source), ("t", e.target)
-        adjacency.setdefault(s, []).append(t)
-        adjacency.setdefault(t, []).append(s)
-
-    outgoing = crossmap.outgoing
-    seen: set[tuple[str, str]] = set()
+    outgoing, incoming = crossmap.outgoing, crossmap.incoming
+    seen: set[str] = set()
     out: list[Component] = []
-    for start_key in crossmap.sources:
-        start = ("s", start_key)
+    for start in crossmap.sources:
         if start in seen:
             continue
-        queue = deque([start])
         seen.add(start)
-        member_sources: set[str] = set()
+        stack = [start]
+        member_sources = [start]
         member_targets: set[str] = set()
-        while queue:
-            node = queue.popleft()
-            side, key = node
-            (member_sources if side == "s" else member_targets).add(key)
-            for neighbour in adjacency[node]:
-                if neighbour not in seen:
-                    seen.add(neighbour)
-                    queue.append(neighbour)
+        while stack:
+            for edge in outgoing[stack.pop()]:
+                if edge.target in member_targets:
+                    continue
+                member_targets.add(edge.target)
+                for source in incoming[edge.target]:
+                    if source not in seen:
+                        seen.add(source)
+                        stack.append(source)
+                        member_sources.append(source)
         sources = tuple(sorted(member_sources))
+        targets = tuple(sorted(member_targets))
         # Each source's outgoing edges are already in canonical order.
         edges = tuple(e for s in sources for e in outgoing[s])
-        relation = _classify_edges(edges)
+        relation = _relation_type(sources, targets)
         if relation in ("one_to_one", "many_to_one"):
             assert all(e.weight == ONE for e in edges), "non-split component with fractional weight"
-        out.append(
-            Component(
-                sources=sources,
-                targets=tuple(sorted(member_targets)),
-                edges=edges,
-                relation_type=relation,
-            )
-        )
+        out.append(Component(sources=sources, targets=targets, edges=edges, relation_type=relation))
     return tuple(out)
 
 
@@ -189,15 +165,9 @@ class CrossmapSummary:
 
 def summarize(crossmap: Crossmap) -> CrossmapSummary:
     """Per-target incoming counts and key lists, largest aggregations first."""
-    incoming: dict[str, list[str]] = {t: [] for t in crossmap.targets}
-    for e in crossmap.edges:
-        incoming[e.target].append(e.source)
     rows = tuple(
         sorted(
-            (
-                TargetSummary(t, len(keys), tuple(sorted(keys)))
-                for t, keys in incoming.items()
-            ),
+            (TargetSummary(t, len(keys), keys) for t, keys in crossmap.incoming.items()),
             key=lambda r: (-r.incoming_count, r.target),
         )
     )

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import re
@@ -64,6 +65,16 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["problems"][0]["line"] == 2
+
+    def test_field_over_csv_limit_is_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "big.csv"
+        path.write_text(f"from,to,weight\n{'k' * (csv.field_size_limit() + 1)},b,1\n", encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "parse"
+        assert [p["line"] for p in err["problems"]] == [2]
 
     def test_json_report_on_stdout(self, country_file, capsys):
         assert main(["validate", country_file, "--json"]) == 0
@@ -305,6 +316,24 @@ class TestExtract:
         )
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"] == "probe"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_probe_field_over_csv_limit_exits_three(self, tmp_path, capsys):
+        keys = tmp_path / "keys.txt"
+        keys.write_text("a\n", encoding="utf-8")
+        probe = f"print(\"key,value\"); print(\"k\" * {csv.field_size_limit() + 1} + \",1\")"
+        code = main(
+            [
+                "extract",
+                "--cmd", f"{sys.executable} -c '{probe}'",
+                "--keys", str(keys),
+                "--out", str(tmp_path / "x.csv"),
+            ]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "probe"
         assert not (tmp_path / "x.csv").exists()
 
     def test_empty_keys_file_is_usage_error(self, tmp_path, capsys, monkeypatch):

@@ -18,6 +18,7 @@ from crossmaps.core import (
     Crossmap,
     Edge,
     EdgeListDraft,
+    Finding,
     InvalidCrossmapError,
     MassArray,
     ValidationReport,
@@ -199,6 +200,31 @@ class TestBuildCrossmap:
         assert isinstance(report, ValidationReport)
         assert any(f.code == "duplicate_edge" for f in report.findings)
 
+    def test_each_repeat_of_a_pair_is_one_duplicate_finding(self):
+        # Three copies of a->b with different weights; the stable sort keeps
+        # them in draft order, so findings follow it edge by edge.
+        draft = EdgeListDraft(
+            [
+                Edge("a", "b", HALF),
+                Edge("a", "c", Fraction(1, 4)),
+                Edge("a", "b", Fraction(3, 2)),
+                Edge("a", "b", Fraction(1, 4)),
+            ]
+        )
+        duplicate = Finding("error", "duplicate_edge", "a->b", "duplicate edge (a, b)")
+        assert validate_draft(draft).findings == (
+            duplicate,
+            Finding("error", "weight_out_of_range", "a->b", "weight 3/2 outside (0, 1]", Fraction(3, 2)),
+            duplicate,
+            Finding(
+                "error",
+                "weight_sum_not_one",
+                "a",
+                "outgoing weights of source 'a' sum to 5/2, expected exactly 1",
+                Fraction(5, 2),
+            ),
+        )
+
     def test_out_of_range_weights_reported(self):
         draft = EdgeListDraft(
             [Edge("a", "b", Fraction(3, 2)), Edge("c", "d", Fraction(-1, 2)), Edge("c", "e", Fraction(3, 2))]
@@ -239,6 +265,16 @@ class TestBuildCrossmap:
         crossmap = random_crossmap(random.Random(seed))
         for source in crossmap.sources:
             assert sum(e.weight for e in crossmap.outgoing[source]) == ONE
+
+    def test_incoming_groups_sources_by_target(self):
+        built = build_crossmap(country_draft())
+        assert built.incoming == {
+            "AUS": ("AUS",),
+            "BEL": ("BLX",),
+            "DEU": ("E.GER", "W.GER"),
+            "LUX": ("BLX",),
+        }
+        assert tuple(built.incoming) == built.targets
 
     def test_validate_draft_matches_build(self):
         good, bad = country_draft(), EdgeListDraft([Edge("a", "b", HALF)])

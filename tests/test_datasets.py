@@ -4,8 +4,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from crossmaps.core import Crossmap
 from crossmaps.datasets import country_recode, occupation_recode, occupation_recode_path
-from crossmaps.formats import write_edge_list
+from crossmaps.formats import read_edge_list, write_edge_list
 
 from occupation_fixture import occupation_crossmap_from_rules
 
@@ -26,3 +27,8 @@ def test_occupation_recode_loads():
     crossmap = occupation_recode()
     assert len(crossmap.edges) == 329
     assert len(crossmap.targets) == 12
+
+
+def test_occupation_recode_is_read_once_and_shared():
+    assert occupation_recode() is occupation_recode()
+    assert occupation_recode() == Crossmap(read_edge_list(occupation_recode_path()).edges)

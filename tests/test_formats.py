@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import random
 from fractions import Fraction
@@ -199,6 +200,20 @@ class TestQuoting:
     def test_comma_key_quoted_rfc_style(self):
         text = write_edge_list(identity_crossmap(['a,b']))
         assert '"a,b"' in text
+
+
+    @pytest.mark.parametrize(
+        ("reader", "header"),
+        [(read_edge_list, "from,to,weight"), (read_array, "key,value"), (read_crosswalk, "from,to")],
+        ids=["edge_list", "array", "crosswalk"],
+    )
+    def test_field_over_csv_limit_is_parse_error(self, reader, header):
+        big = "k" * (csv.field_size_limit() + 1)
+        with pytest.raises(ParseError) as excinfo:
+            reader(io.StringIO(f"{header}\n{big},1\n"))
+        ((line, message),) = excinfo.value.problems
+        assert line == 2
+        assert "field larger than field limit" in message
 
 
 class TestCrosswalkFiles:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import given, strategies as st
 from crossmaps import graph
 from crossmaps.core import Crossmap, Edge, MassArray, identity_crossmap
 from crossmaps.graph import (
-    classify,
+    Component,
+    RelationType,
     components,
     imputation_metrics,
     summarize,
@@ -27,6 +29,73 @@ from occupation_fixture import (
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
 THIRD = Fraction(1, 3)
+
+
+# Reference partition: the earlier breadth-first search over ("s"|"t", key)
+# tuple nodes and the hub-rule classifier, kept verbatim as the oracle for
+# the walk over Crossmap.outgoing/incoming and the key-count rule.
+def _classify_edges(edges: tuple[Edge, ...]) -> RelationType:
+    # Single-edge components are renames, full stop; the hub rule below
+    # would also match them, so this check runs first.
+    if len(edges) == 1:
+        return "one_to_one"
+    degree: dict[tuple[str, str], int] = {}
+    for e in edges:
+        degree[("s", e.source)] = degree.get(("s", e.source), 0) + 1
+        degree[("t", e.target)] = degree.get(("t", e.target), 0) + 1
+    hubs = [node for node, d in degree.items() if d == len(edges)]
+    if len(hubs) == 1 and all(d == 1 for node, d in degree.items() if node != hubs[0]):
+        return "one_to_many" if hubs[0][0] == "s" else "many_to_one"
+    return "many_to_many"
+
+
+def _reference_components(crossmap: Crossmap) -> tuple[Component, ...]:
+    adjacency: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    for e in crossmap.edges:
+        s, t = ("s", e.source), ("t", e.target)
+        adjacency.setdefault(s, []).append(t)
+        adjacency.setdefault(t, []).append(s)
+
+    outgoing = crossmap.outgoing
+    seen: set[tuple[str, str]] = set()
+    out: list[Component] = []
+    for start_key in crossmap.sources:
+        start = ("s", start_key)
+        if start in seen:
+            continue
+        queue = deque([start])
+        seen.add(start)
+        member_sources: set[str] = set()
+        member_targets: set[str] = set()
+        while queue:
+            node = queue.popleft()
+            side, key = node
+            (member_sources if side == "s" else member_targets).add(key)
+            for neighbour in adjacency[node]:
+                if neighbour not in seen:
+                    seen.add(neighbour)
+                    queue.append(neighbour)
+        sources = tuple(sorted(member_sources))
+        # Each source's outgoing edges are already in canonical order.
+        edges = tuple(e for s in sources for e in outgoing[s])
+        relation = _classify_edges(edges)
+        if relation in ("one_to_one", "many_to_one"):
+            assert all(e.weight == ONE for e in edges), "non-split component with fractional weight"
+        out.append(
+            Component(
+                sources=sources,
+                targets=tuple(sorted(member_targets)),
+                edges=edges,
+                relation_type=relation,
+            )
+        )
+    return tuple(out)
+
+
+def _with_shared_key_text(crossmap: Crossmap) -> Crossmap:
+    # Renames target tN to sN, so sources and targets share key text and
+    # some edges become identity edges sN -> sN.
+    return Crossmap(Edge(e.source, "s" + e.target[1:], e.weight) for e in crossmap.edges)
 
 
 @pytest.fixture
@@ -87,6 +156,13 @@ class TestComponents:
         rng.shuffle(edges)
         assert components(Crossmap(edges)) == components(crossmap)
 
+    @given(st.integers(0, 10_000), st.booleans())
+    def test_matches_reference_partition(self, seed, shared_key_text):
+        crossmap = random_crossmap(random.Random(seed))
+        if shared_key_text:
+            crossmap = _with_shared_key_text(crossmap)
+        assert components(crossmap) == _reference_components(crossmap)
+
     @given(st.integers(0, 10_000))
     def test_non_split_components_have_unit_weights(self, seed):
         crossmap = random_crossmap(random.Random(seed))
@@ -98,21 +174,21 @@ class TestComponents:
 class TestClassify:
     def test_single_edge_is_one_to_one_despite_hub_rule(self):
         (component,) = components(Crossmap([Edge("a", "b", ONE)]))
-        assert classify(component) == "one_to_one"
+        assert component.relation_type == "one_to_one"
 
     def test_one_to_many_when_hub_is_a_source(self):
         crossmap = Crossmap([Edge("s", "t1", HALF), Edge("s", "t2", HALF)])
         (component,) = components(crossmap)
-        assert classify(component) == "one_to_many"
+        assert component.relation_type == "one_to_many"
 
     def test_many_to_one_when_hub_is_a_target(self):
         crossmap = Crossmap([Edge("s1", "t", ONE), Edge("s2", "t", ONE)])
         (component,) = components(crossmap)
-        assert classify(component) == "many_to_one"
+        assert component.relation_type == "many_to_one"
 
     def test_overlapping_splits_are_many_to_many(self, occupation_splits_map):
         overlapping = components(occupation_splits_map)[0]
-        assert classify(overlapping) == "many_to_many"
+        assert overlapping.relation_type == "many_to_many"
 
     @given(st.integers(0, 10_000))
     def test_type_counts_sum_to_component_count(self, seed):
@@ -150,6 +226,20 @@ class TestSummarize:
         )
         assert by_target["armforces"] == ("110", "120", "140", "190")
         assert by_target["xefe"] == ("1130",)
+
+    @given(st.integers(0, 10_000), st.booleans())
+    def test_rows_match_a_scan_of_the_edges(self, seed, shared_key_text):
+        crossmap = random_crossmap(random.Random(seed))
+        if shared_key_text:
+            crossmap = _with_shared_key_text(crossmap)
+        incoming: dict[str, list[str]] = {}
+        for e in crossmap.edges:
+            incoming.setdefault(e.target, []).append(e.source)
+        expected = sorted(
+            ((-len(keys), t, tuple(sorted(keys))) for t, keys in incoming.items())
+        )
+        rows = summarize(crossmap).target_rows
+        assert [(-r.incoming_count, r.target, r.incoming_keys) for r in rows] == expected
 
     def test_identity_map_every_target_has_one_incoming(self):
         summary = summarize(identity_crossmap(["a", "b", "c"]))
