@@ -104,23 +104,34 @@ def compose(first: Crossmap, second: Crossmap) -> Crossmap:
 
     Every target of ``first`` must be a source of ``second``.  The result's
     rows still sum to 1 (the product of row-stochastic matrices is
-    row-stochastic), which construction re-asserts.
+    row-stochastic), which construction re-asserts.  A source of ``first``
+    with a single edge passes all its mass on with weight 1, so its composed
+    row is its target's row in ``second``, copied with no arithmetic; only
+    split sources multiply and sum.
     """
     unmatched = tuple(t for t in first.targets if t not in second.outgoing)
     if unmatched:
         raise CompositionError(unmatched)
     outgoing = second.outgoing
+    edges: list[Edge] = []
+    split: list[Edge] = []
+    for source, lefts in first.outgoing.items():
+        if len(lefts) == 1:
+            edges.extend(Edge._from_clean(source, e.target, e.weight) for e in outgoing[lefts[0].target])
+        else:
+            split.extend(lefts)
 
     def terms():
-        # Each path's weight product as an unreduced integer pair.
-        for left in first.edges:
+        # Each split path's weight product as an unreduced integer pair.
+        for left in split:
             a, b = left.weight.as_integer_ratio()
             for right in outgoing[left.target]:
                 n, d = right.weight.as_integer_ratio()
                 yield (left.source, right.target), a * n, b * d
 
     accumulated = _exact_sums(terms())
-    return Crossmap(Edge._from_clean(s, t, w) for (s, t), w in accumulated.items())
+    edges.extend(Edge._from_clean(s, t, w) for (s, t), w in accumulated.items())
+    return Crossmap(edges)
 
 
 def reverse(crossmap: Crossmap) -> Crossmap | ValidationReport:

@@ -26,6 +26,7 @@ from .core import (
     MassArray,
     ValidationReport,
     build_crossmap,
+    render_rational,
 )
 from .extraction import ExternalCommandTransform, ProbeError, probe_blackbox
 from .formats import (
@@ -248,6 +249,9 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 def _cmd_extract(args: argparse.Namespace) -> int:
     try:
         tolerance = Fraction(args.tolerance)
+        # The result document renders it; a value too long to print
+        # (e.g. 1e-99999) is refused now, before any probe runs.
+        render_rational(tolerance)
     except ValueError:
         tolerance = None
     if tolerance is None or tolerance < 0:
@@ -259,7 +263,7 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     if not keys:
         _fail({"error": "usage", "message": f"--keys file {args.keys!r} holds no source keys"})
         return EXIT_USAGE
-    transform = ExternalCommandTransform(shlex.split(args.cmd))
+    transform = ExternalCommandTransform(args.cmd)
     result = probe_blackbox(
         transform,
         keys,
@@ -317,6 +321,17 @@ def _positive_int(upper: int | None = None):
     return parse
 
 
+def _command(text: str) -> tuple[str, ...]:
+    """argparse type for ``--cmd``: shell-style words, at least one."""
+    try:
+        argv = shlex.split(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"cannot split {text!r} into words: {exc}") from None
+    if not argv:
+        raise argparse.ArgumentTypeError("command is empty")
+    return tuple(argv)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="crossmap",
@@ -363,7 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_summarize)
 
     p = sub.add_parser("extract", help="recover the crossmap inside an opaque command by probing")
-    p.add_argument("--cmd", required=True, help="command reading an array CSV on stdin, writing one on stdout")
+    p.add_argument("--cmd", required=True, type=_command, help="command reading an array CSV on stdin, writing one on stdout")
     p.add_argument("--keys", required=True, help="file with one source key per line; - reads standard input")
     p.add_argument("--tolerance", default="1e-9")
     p.add_argument("--rationalize-max-den", type=_positive_int(), default=None)

@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
 from math import gcd
+from operator import attrgetter
 from typing import Hashable, Literal, TypeVar
 
 __all__ = [
@@ -187,10 +188,18 @@ class Edge:
         # For keys the caller already stripped and found non-empty and a
         # weight that is already a Fraction.  Sets the fields, checks nothing.
         edge = object.__new__(cls)
-        object.__setattr__(edge, "source", source)
-        object.__setattr__(edge, "target", target)
-        object.__setattr__(edge, "weight", weight)
+        _set_source(edge, source)
+        _set_target(edge, target)
+        _set_weight(edge, weight)
         return edge
+
+
+# The slot descriptors' own setters: frozen=True blocks plain assignment, and
+# these skip the generic object.__setattr__ lookup on the hot trusted path.
+_set_source, _set_target, _set_weight = (Edge.__dict__[name].__set__ for name in ("source", "target", "weight"))
+
+_EDGE_ORDER = attrgetter("source", "target")
+_EDGE_SOURCE = attrgetter("source")
 
 
 @dataclass(frozen=True)
@@ -257,7 +266,7 @@ class Crossmap:
     edges: tuple[Edge, ...]
 
     def __init__(self, edges: Iterable[Edge]) -> None:
-        object.__setattr__(self, "edges", tuple(sorted(edges, key=lambda e: (e.source, e.target))))
+        object.__setattr__(self, "edges", tuple(sorted(edges, key=_EDGE_ORDER)))
         report = _validate_edges(self.edges)
         if not report.ok:
             raise InvalidCrossmapError(report)
@@ -273,7 +282,7 @@ class Crossmap:
     @cached_property
     def outgoing(self) -> Mapping[str, tuple[Edge, ...]]:
         """Edges grouped by source key, in canonical order."""
-        return {s: tuple(es) for s, es in groupby(self.edges, key=lambda e: e.source)}
+        return {s: tuple(es) for s, es in groupby(self.edges, key=_EDGE_SOURCE)}
 
     @cached_property
     def incoming(self) -> Mapping[str, tuple[str, ...]]:
@@ -355,7 +364,8 @@ class MassArray(Mapping):
     @property
     def total(self) -> Fraction:
         """Exact sum of all present masses; missing entries contribute nothing."""
-        return _exact_total(v for v in self._entries.values() if v is not None)
+        # `if v` skips missing entries and zeros alike: neither adds to the sum.
+        return _exact_total(v for v in self._entries.values() if v)
 
     def missing_keys(self) -> tuple[str, ...]:
         return tuple(k for k, v in self._entries.items() if v is None)
@@ -429,7 +439,7 @@ def validate_draft(draft: EdgeListDraft) -> ValidationReport:
     an out-of-range weight each become a finding, so one pass surfaces the
     complete repair list.
     """
-    return _validate_edges(tuple(sorted(draft.edges, key=lambda e: (e.source, e.target))))
+    return _validate_edges(tuple(sorted(draft.edges, key=_EDGE_ORDER)))
 
 
 def build_crossmap(draft: EdgeListDraft) -> Crossmap | ValidationReport:

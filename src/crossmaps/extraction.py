@@ -69,7 +69,10 @@ class ExternalCommandTransform:
     argv: tuple[str, ...]
 
     def __init__(self, argv: Sequence[str]):
-        object.__setattr__(self, "argv", tuple(argv))
+        words = tuple(argv)
+        if not words:
+            raise ValueError("command needs at least one word")
+        object.__setattr__(self, "argv", words)
 
     def run(self, array: MassArray) -> MassArray:
         try:
@@ -193,7 +196,8 @@ def probe_blackbox(
         weights: dict[str, Fraction] = {}
         for target, value in outputs[key].items():
             assert value is not None
-            if abs(value) <= tol:
+            # Most outputs are exact zeros: skip them before any Fraction work.
+            if not value or abs(value) <= tol:
                 continue
             if snap:
                 snapped = rationalize(value, rationalize_max_denominator)

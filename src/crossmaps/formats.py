@@ -109,6 +109,9 @@ def read_edge_list(source: str | Path | TextIO) -> EdgeListDraft:
     _check_header(name, rows, EDGE_HEADER)
     problems: list[tuple[int, str]] = []
     edges: list[Edge] = []
+    # Each distinct weight token is parsed and range-checked once; a token that
+    # fails is never stored, so every line carrying it reports its own problem.
+    weights: dict[str, Fraction] = {}
     for lineno, row in enumerate(rows[1:], start=2):
         if len(row) != 3:
             problems.append((lineno, f"expected 3 fields, got {len(row)}"))
@@ -118,24 +121,27 @@ def read_edge_list(source: str | Path | TextIO) -> EdgeListDraft:
         if not source or not target:
             problems.append((lineno, "blank key"))
             continue
-        try:
-            weight = parse_rational(raw_weight)
-        except ValueError as exc:
-            problems.append((lineno, str(exc)))
-            continue
-        n, d = weight.as_integer_ratio()
-        # Fraction denominators are positive, so 0 < n/d <= 1 iff 0 < n <= d.
-        if not 0 < n <= d:
-            problems.append((lineno, f"weight must be in (0, 1], got {render_rational(weight)}"))
-            continue
+        weight = weights.get(raw_weight)
+        if weight is None:
+            try:
+                weight = parse_rational(raw_weight)
+            except ValueError as exc:
+                problems.append((lineno, str(exc)))
+                continue
+            n, d = weight.as_integer_ratio()
+            # Fraction denominators are positive, so 0 < n/d <= 1 iff 0 < n <= d.
+            if not 0 < n <= d:
+                problems.append((lineno, f"weight must be in (0, 1], got {render_rational(weight)}"))
+                continue
+            weights[raw_weight] = weight
         edges.append(Edge._from_clean(source, target, weight))
     if problems:
         raise ParseError(name, problems)
     return EdgeListDraft(edges)
 
 
-def _decimal_text(value: Fraction) -> str | None:
-    # Exact finite decimal expansion, or None when there is none (e.g. 1/3).
+def _decimal_text(value: Fraction) -> str:
+    # Exact finite decimal expansion, or the p/q text when there is none (e.g. 1/3).
     den = value.denominator
     twos = fives = 0
     while den % 2 == 0:
@@ -145,7 +151,7 @@ def _decimal_text(value: Fraction) -> str | None:
         den //= 5
         fives += 1
     if den != 1:
-        return None
+        return render_rational(value)
     places = max(twos, fives)
     if places == 0:
         return str(value.numerator)
@@ -165,9 +171,8 @@ def write_edge_list(crossmap: Crossmap, decimal_weights: bool = False) -> str:
     buffer = io.StringIO()
     writer = _csv_writer(buffer)
     writer.writerow(EDGE_HEADER)
-    for edge in crossmap.edges:
-        cell = _decimal_text(edge.weight) if decimal_weights else None
-        writer.writerow([edge.source, edge.target, cell or render_rational(edge.weight)])
+    render = _decimal_text if decimal_weights else render_rational
+    writer.writerows((e.source, e.target, render(e.weight)) for e in crossmap.edges)
     return buffer.getvalue()
 
 
@@ -210,8 +215,9 @@ def write_array(array: MassArray) -> str:
     buffer = io.StringIO()
     writer = _csv_writer(buffer)
     writer.writerow(ARRAY_HEADER)
-    for key, value in array.items():
-        writer.writerow([key, MISSING_MARKER if value is None else render_rational(value)])
+    writer.writerows(
+        (key, MISSING_MARKER if value is None else render_rational(value)) for key, value in array.items()
+    )
     return buffer.getvalue()
 
 

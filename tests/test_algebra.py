@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from crossmaps import algebra, core
 from crossmaps.algebra import (
     CompositionError,
     compose,
@@ -24,6 +25,7 @@ from crossmaps.core import (
     identity_crossmap,
     validate_draft,
 )
+from crossmaps.datasets import occupation_recode
 from crossmaps.transform import apply_transform
 
 from helpers import random_chain, random_crossmap
@@ -123,6 +125,32 @@ class TestMatvec:
         assert tuple(output[t] for t in matrix.col_keys) == y
 
 
+def layered_map(rng: random.Random, sources, targets: list[str], split_share: float) -> Crossmap:
+    """Each source splits over 2-4 targets with probability ``split_share``, else has one edge."""
+    edges = []
+    for source in sources:
+        split = len(targets) > 1 and rng.random() < split_share
+        chosen = rng.sample(targets, rng.randint(2, min(4, len(targets))) if split else 1)
+        numerators = [rng.randint(1, 9) for _ in chosen]
+        edges.extend(Edge(source, t, Fraction(n, sum(numerators))) for t, n in zip(chosen, numerators))
+    return Crossmap(edges)
+
+
+def all_paths_reference(first: Crossmap, second: Crossmap) -> dict[tuple[str, str], Fraction]:
+    """Plain-Fraction composition: every path's weight product, summed per (source, target)."""
+    total: dict[tuple[str, str], Fraction] = {}
+    for left in first.edges:
+        for right in second.edges:
+            if right.source == left.target:
+                key = (left.source, right.target)
+                total[key] = total.get(key, Fraction(0)) + left.weight * right.weight
+    return total
+
+
+def weights_of(crossmap: Crossmap) -> dict[tuple[str, str], Fraction]:
+    return {(e.source, e.target): e.weight for e in crossmap.edges}
+
+
 class TestCompose:
     def test_right_identity(self, country_map):
         assert compose(country_map, identity_crossmap(country_map.targets)) == country_map
@@ -146,6 +174,55 @@ class TestCompose:
     def test_associative(self, seed):
         a, b, c = random_chain(random.Random(seed), length=3, max_keys=6)
         assert compose(compose(a, b), c) == compose(a, compose(b, c))
+
+    @pytest.mark.parametrize("split_share", [0.0, 1.0, 0.5], ids=["unit_rows", "split_rows", "mixed"])
+    @given(seed=st.integers(0, 10_000))
+    def test_matches_all_paths_reference(self, split_share, seed):
+        rng = random.Random(seed)
+        layers = [[f"k{depth}_{i}" for i in range(rng.randint(2, 8))] for depth in range(4)]
+        a = layered_map(rng, layers[0], layers[1], split_share)
+        b = layered_map(rng, a.targets, layers[2], split_share)
+        c = layered_map(rng, b.targets, layers[3], split_share)
+        ab = compose(a, b)
+        assert weights_of(ab) == all_paths_reference(a, b)
+        assert weights_of(compose(ab, c)) == all_paths_reference(ab, c)
+        assert all(type(e.weight) is Fraction for e in ab.edges)
+
+    @given(st.integers(0, 10_000))
+    def test_onto_occupation_matches_all_paths_reference(self, seed):
+        rng = random.Random(seed)
+        occupation = occupation_recode()
+        first = layered_map(rng, [f"f{i}" for i in range(40)], list(occupation.sources), 0.3)
+        assert weights_of(compose(first, occupation)) == all_paths_reference(first, occupation)
+
+    def test_unit_rows_copy_the_next_row_without_arithmetic(self, monkeypatch):
+        consumed = []
+        exact_sums = algebra._exact_sums
+
+        def spy(terms):
+            terms = list(terms)
+            consumed.extend(terms)
+            return exact_sums(terms)
+
+        monkeypatch.setattr(algebra, "_exact_sums", spy)
+        first = Crossmap([Edge("u", "m", ONE), Edge("v", "m", ONE), Edge("s", "m", HALF), Edge("s", "n", HALF)])
+        second = Crossmap([Edge("m", "x", Fraction(1, 3)), Edge("m", "y", Fraction(2, 3)), Edge("n", "x", ONE)])
+        composed = compose(first, second)
+        # Only the split source's three paths are multiplied and summed.
+        assert sorted(key for key, _, _ in consumed) == [("s", "x"), ("s", "x"), ("s", "y")]
+        for source in ("u", "v"):
+            row = composed.outgoing[source]
+            assert [e.target for e in row] == ["x", "y"]
+            assert all(e.weight is r.weight for e, r in zip(row, second.outgoing["m"]))
+        assert weights_of(composed) == all_paths_reference(first, second)
+
+    def test_validates_its_result_once(self, monkeypatch):
+        first, second = random_chain(random.Random(4))
+        calls = []
+        validate = core._validate_edges
+        monkeypatch.setattr(core, "_validate_edges", lambda edges: calls.append(edges) or validate(edges))
+        composed = compose(first, second)
+        assert calls == [composed.edges]
 
     @given(st.integers(0, 5_000))
     def test_product_is_row_stochastic(self, seed):

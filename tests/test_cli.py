@@ -285,7 +285,8 @@ class TestExtract:
         assert err["error"] == "nonconforming_probe_totals"
         assert err["nonconforming_sources"][0]["source"] == "s"
 
-    @pytest.mark.parametrize("tolerance", ["abc", "-1/2"])
+    # 1e-99999 is a valid Fraction whose exact text is too long to print.
+    @pytest.mark.parametrize("tolerance", ["abc", "-1/2", "1e-99999"])
     def test_bad_tolerance_is_usage_error(self, tolerance, tmp_path, capsys):
         keys = tmp_path / "keys.txt"
         keys.write_text("a\n", encoding="utf-8")
@@ -483,6 +484,22 @@ class TestExitCodes:
         assert document["error"] == "usage"
         assert flag in document["message"]
         assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command", ["", "   ", "'abc"], ids=["empty", "blank", "open_quote"])
+    def test_unsplittable_command_is_usage_error(self, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "probe_blackbox", lambda *a, **k: pytest.fail("probed without a command"))
+        keys = tmp_path / "keys.txt"
+        keys.write_text("a\n", encoding="utf-8")
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["extract", "--cmd", command, "--keys", str(keys), "--out", str(out)])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        document = json.loads(captured.err)
+        assert document["error"] == "usage"
+        assert "--cmd" in document["message"]
+        assert not out.exists()
 
     def test_failed_provenance_write_leaves_no_out_file(self, country_file, obs_file, tmp_path, capsys):
         out = tmp_path / "out.csv"

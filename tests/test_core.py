@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import random
 import re
@@ -174,6 +175,16 @@ class TestEdge:
             Edge(blank, "b", ONE)
         with pytest.raises(ValueError):
             Edge("a", blank, ONE)
+
+    def test_trusted_edge_is_frozen_and_slotted(self):
+        edge = Edge._from_clean("a", "b", HALF)
+        for field in ("source", "target", "weight"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(edge, field, "c")
+        assert not hasattr(edge, "__dict__")
+        assert (edge.source, edge.target, edge.weight) == ("a", "b", HALF)
+        assert edge == Edge("a", "b", HALF)
+        assert hash(edge) == hash(Edge("a", "b", HALF))
 
 
 class TestBuildCrossmap:

@@ -187,6 +187,10 @@ class TestSnapping:
 
 
 class TestExternalProbing:
+    def test_empty_command_is_refused_on_construction(self):
+        with pytest.raises(ValueError):
+            ExternalCommandTransform(())
+
     def run_external(self, crossmap: Crossmap, tmp_path: Path, decimals: int = 9, **kwargs):
         edges_file = tmp_path / "edges.csv"
         edges_file.write_text(write_edge_list(crossmap), encoding="utf-8")

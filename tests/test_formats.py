@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
+from crossmaps import formats
 from crossmaps.core import (
     Crossmap,
     Edge,
@@ -17,9 +18,11 @@ from crossmaps.core import (
     MassArray,
     build_crossmap,
     identity_crossmap,
+    render_rational,
 )
 from crossmaps.formats import (
     ParseError,
+    _decimal_text,
     export_dot,
     import_crosswalk,
     read_array,
@@ -96,6 +99,29 @@ class TestEdgeListFiles:
             with pytest.raises(ParseError) as excinfo:
                 read_edge_list(io.StringIO(text))
             assert excinfo.value.problems == ((2, f"weight must be in (0, 1], got {weight}"),)
+
+    def test_each_distinct_weight_token_is_parsed_once(self, monkeypatch):
+        tokens = []
+        parse = formats.parse_rational
+        monkeypatch.setattr(formats, "parse_rational", lambda text: tokens.append(text) or parse(text))
+        text = "from,to,weight\na,x,1/2\na,y,1/2\nb,x,0.5\nb,y,0.5\nc,x,1\nd,x,1/2\nd,y,1/2\n"
+        edges = read_edge_list(io.StringIO(text)).edges
+        assert sorted(tokens) == ["0.5", "1", "1/2"]
+        assert [e.weight for e in edges] == [HALF, HALF, HALF, HALF, ONE, HALF, HALF]
+        # Lines with one token share one Fraction.
+        assert all(edges[i].weight is edges[0].weight for i in (1, 5, 6))
+        assert edges[3].weight is edges[2].weight
+
+    @pytest.mark.parametrize(
+        ("token", "message"),
+        [("oops", "malformed rational 'oops'"), ("3/2", "weight must be in (0, 1], got 3/2")],
+        ids=["malformed", "out_of_range"],
+    )
+    def test_repeated_bad_token_is_reported_on_every_line(self, token, message):
+        text = f"from,to,weight\na,x,{token}\nb,x,1\nc,x,{token}\nd,x,{token}\n"
+        with pytest.raises(ParseError) as excinfo:
+            read_edge_list(io.StringIO(text))
+        assert excinfo.value.problems == ((2, message), (4, message), (5, message))
 
     def test_all_bad_rows_reported(self):
         text = "from,to,weight\na,b,2\n,b,1\na,c,oops\na,d,1\n"
@@ -214,6 +240,38 @@ class TestQuoting:
         ((line, message),) = excinfo.value.problems
         assert line == 2
         assert "field larger than field limit" in message
+
+
+def per_row_reference(header: list[str], rows) -> str:
+    """The writers' bytes, written one ``writerow`` call at a time."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(row)
+    return buffer.getvalue()
+
+
+class TestWriters:
+    @given(st.integers(0, 10_000), st.lists(AWKWARD_KEYS, min_size=24, max_size=24, unique=True))
+    def test_edge_list_matches_a_per_row_reference(self, seed, keys):
+        base = random_crossmap(random.Random(seed), max_sources=12, max_targets=12)
+        name = dict(zip([*base.sources, *base.targets], keys))
+        crossmap = Crossmap(Edge(name[e.source], name[e.target], e.weight) for e in base.edges)
+        for decimal_weights in (False, True):
+            render = _decimal_text if decimal_weights else render_rational
+            rows = [[e.source, e.target, render(e.weight)] for e in crossmap.edges]
+            expected = per_row_reference(["from", "to", "weight"], rows)
+            assert write_edge_list(crossmap, decimal_weights=decimal_weights) == expected
+
+    @given(st.integers(0, 10_000), st.lists(AWKWARD_KEYS, min_size=1, max_size=12, unique=True))
+    def test_array_matches_a_per_row_reference(self, seed, keys):
+        rng = random.Random(seed)
+        array = MassArray(
+            {k: rng.choice([None, Fraction(rng.randint(-99, 999), rng.randint(1, 99))]) for k in keys}
+        )
+        rows = [[k, "NA" if v is None else render_rational(v)] for k, v in array.items()]
+        assert write_array(array) == per_row_reference(["key", "value"], rows)
 
 
 class TestCrosswalkFiles:
