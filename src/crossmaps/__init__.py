@@ -24,6 +24,7 @@ from .core import (
     InvalidCrossmapError,
     MassArray,
     ValidationReport,
+    ValueTooLongError,
     build_crossmap,
     identity_crossmap,
     parse_rational,
@@ -71,7 +72,6 @@ from .transform import (
     drop_keys,
 )
 from .validation import (
-    ArrayFinding,
     CoverageReport,
     check_array,
     check_coverage,
@@ -81,7 +81,6 @@ from .validation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrayFinding",
     "BlackboxTransform",
     "Component",
     "CompositionError",
@@ -107,6 +106,7 @@ __all__ = [
     "TransformOptions",
     "TransformReceipt",
     "ValidationReport",
+    "ValueTooLongError",
     "append_keys",
     "apply_sequence",
     "apply_transform",

@@ -43,6 +43,9 @@ class CompositionError(CrossmapError):
             + ", ".join(unmatched)
         )
 
+    def to_json_dict(self) -> dict:
+        return {"error": "composition", "unmatched_keys": list(self.unmatched)}
+
 
 @dataclass(frozen=True)
 class MatrixEncoding:

@@ -20,9 +20,11 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import CompositionError, compose, reverse
+from .algebra import compose, reverse
 from .core import (
     Crossmap,
+    CrossmapError,
+    InvalidCrossmapError,
     MassArray,
     ValidationReport,
     build_crossmap,
@@ -30,7 +32,6 @@ from .core import (
 )
 from .extraction import ExternalCommandTransform, ProbeError, probe_blackbox
 from .formats import (
-    ParseError,
     export_dot,
     import_crosswalk,
     read_array,
@@ -41,9 +42,6 @@ from .formats import (
 )
 from .graph import components, imputation_metrics, summarize
 from .transform import (
-    CoverageError,
-    MissingValueError,
-    NegativeMassError,
     TransformOptions,
     TransformReceipt,
     apply_transform,
@@ -95,17 +93,8 @@ def _emit(args: argparse.Namespace, text: str, inputs: list[str], extra: dict) -
 def _load_crossmap(path: str) -> Crossmap:
     built = build_crossmap(read_edge_list(_source(path)))
     if isinstance(built, ValidationReport):
-        raise _ReportedFailure(built, subject=path)
+        raise InvalidCrossmapError(built, subject=path)
     return built
-
-
-class _ReportedFailure(Exception):
-    """Internal: a validation report that should become exit status 1."""
-
-    def __init__(self, report: ValidationReport, subject: str):
-        self.report = report
-        self.subject = subject
-        super().__init__(subject)
 
 
 def _report_lines(report: ValidationReport) -> str:
@@ -148,8 +137,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     report = check_mass_preserving(read_edge_list(_source(args.edges)))
     sys.stdout.write(to_json(report) if args.json else _report_lines(report))
     if not report.ok:
-        _fail(report.to_json_dict())
-        return EXIT_VALIDATION
+        raise InvalidCrossmapError(report)
     return EXIT_OK
 
 
@@ -179,7 +167,7 @@ def _cmd_reverse(args: argparse.Namespace) -> int:
     crossmap = _load_crossmap(args.edges)
     result = reverse(crossmap)
     if isinstance(result, ValidationReport):
-        raise _ReportedFailure(result, subject=args.edges)
+        raise InvalidCrossmapError(result, subject=args.edges)
     _emit(args, write_edge_list(result), [args.edges], {})
     return EXIT_OK
 
@@ -247,10 +235,13 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
+    _, exp_mark, exponent = args.tolerance.lower().partition("e")
     try:
+        # Fraction expands a decimal exponent into an exact integer, so a huge one is refused
+        # unbuilt; one too long to print in the result (e.g. 1e-99999) is refused before probing.
+        if exp_mark and abs(int(exponent)) > sys.get_int_max_str_digits():
+            raise ValueError(exponent)
         tolerance = Fraction(args.tolerance)
-        # The result document renders it; a value too long to print
-        # (e.g. 1e-99999) is refused now, before any probe runs.
         render_rational(tolerance)
     except ValueError:
         tolerance = None
@@ -284,10 +275,11 @@ def _cmd_import_crosswalk(args: argparse.Namespace) -> int:
     policy = "equal_split" if args.equal_split else "reject_splits"
     crossmap, report = import_crosswalk(_source(args.crosswalk), split_policy=policy)
     if crossmap is None:
-        raise _ReportedFailure(report, subject=args.crosswalk)
+        raise InvalidCrossmapError(report, subject=args.crosswalk)
+    _emit(args, write_edge_list(crossmap), [args.crosswalk], {})
+    # Last, like apply's receipt: a failed write leaves one error document alone on stderr.
     for warning in report.warnings:
         sys.stderr.write(f"warning {warning.code} {warning.subject}: {warning.message}\n")
-    _emit(args, write_edge_list(crossmap), [args.crosswalk], {})
     return EXIT_OK
 
 
@@ -408,28 +400,17 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ParseError as exc:
-        _fail(exc.to_json_dict())
-        return EXIT_VALIDATION
-    except _ReportedFailure as exc:
-        payload = exc.report.to_json_dict()
-        payload["subject"] = exc.subject
-        _fail(payload)
-        return EXIT_VALIDATION
-    except (CoverageError, MissingValueError, NegativeMassError) as exc:
-        _fail(exc.to_json_dict())
-        return EXIT_VALIDATION
-    except CompositionError as exc:
-        _fail({"error": "composition", "unmatched_keys": list(exc.unmatched)})
-        return EXIT_VALIDATION
     except ProbeError as exc:
-        _fail({"error": "probe", "message": str(exc)})
+        _fail(exc.to_json_dict())
         return EXIT_PROBE
-    except OSError as exc:
-        _fail({"error": "io", "message": str(exc)})
-        return EXIT_USAGE
-    except UnicodeDecodeError as exc:
-        _fail({"error": "encoding", "message": f"input is not UTF-8: {exc}"})
+    except CrossmapError as exc:
+        _fail(exc.to_json_dict())
+        return EXIT_VALIDATION
+    except (OSError, UnicodeDecodeError) as exc:
+        if isinstance(exc, UnicodeDecodeError):
+            _fail({"error": "encoding", "message": f"input is not UTF-8: {exc}"})
+        else:
+            _fail({"error": "io", "message": str(exc)})
         return EXIT_USAGE
 
 

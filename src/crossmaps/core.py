@@ -20,6 +20,7 @@ from functools import cached_property
 from itertools import groupby
 from math import gcd
 from operator import attrgetter
+from sys import get_int_max_str_digits
 from typing import Hashable, Literal, TypeVar
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "MassArray",
     "Severity",
     "ValidationReport",
+    "ValueTooLongError",
     "build_crossmap",
     "clean_key",
     "identity_crossmap",
@@ -49,16 +51,38 @@ K = TypeVar("K", bound=Hashable)
 
 
 class CrossmapError(Exception):
-    """Base class for errors raised by this package."""
+    """Base class for errors raised by this package.
+
+    ``to_json_dict`` is the failure's JSON document; by default its
+    ``"error"`` key is the subclass's ``error`` attribute.
+    """
+
+    error: str
+
+    def to_json_dict(self) -> dict:
+        return {"error": self.error, "message": str(self)}
 
 
 class InvalidCrossmapError(CrossmapError, ValueError):
-    """Edges that break a crossmap condition; ``report`` holds every finding."""
+    """Edges that break a crossmap condition; ``report`` holds every finding, ``subject`` names the input."""
 
-    def __init__(self, report: ValidationReport):
+    def __init__(self, report: ValidationReport, subject: str | None = None):
         self.report = report
+        self.subject = subject
         details = "; ".join(f.message for f in report.errors[:3])
         super().__init__(f"invalid crossmap: {details}")
+
+    def to_json_dict(self) -> dict:
+        out = {"error": "validation", **self.report.to_json_dict()}
+        if self.subject is not None:
+            out["subject"] = self.subject
+        return out
+
+
+class ValueTooLongError(CrossmapError, ValueError):
+    """An exact value with too many digits to render as text."""
+
+    error = "too_long"
 
 
 def parse_rational(text: str) -> Fraction:
@@ -97,8 +121,16 @@ def parse_rational(text: str) -> Fraction:
 
 
 def render_rational(value: Fraction) -> str:
-    """Canonical text for an exact value: ``p/q``, or just ``p`` for integers."""
-    return str(value)
+    """Canonical text for an exact value: ``p/q``, or just ``p`` for integers.
+
+    A numerator or denominator over ``sys.get_int_max_str_digits()`` digits
+    raises :class:`ValueTooLongError`; the limit stops ``str`` going quadratic.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        limit = get_int_max_str_digits()
+        raise ValueTooLongError(f"exact value has a numerator or denominator over {limit} digits") from None
 
 
 def _exact_pairs(terms: Iterable[tuple[K, int, int]]) -> dict[K, list[int]]:

@@ -30,6 +30,7 @@ from .core import (
     ZERO,
     _exact_total,
     clean_key,
+    render_rational,
 )
 from . import formats
 
@@ -46,6 +47,8 @@ __all__ = [
 
 class ProbeError(CrossmapError):
     """A probe failed: process error, unparsable output, or nondeterminism."""
+
+    error = "probe"
 
 
 @dataclass(frozen=True)
@@ -117,10 +120,10 @@ class ExtractionResult:
     def to_json_dict(self) -> dict:
         return {
             "extracted": self.crossmap is not None,
-            "tolerance": str(self.tolerance_used),
+            "tolerance": render_rational(self.tolerance_used),
             "rationalized": self.rationalized,
             "nonconforming_sources": [
-                {"source": s, "total": str(total)} for s, total in self.nonconforming_sources
+                {"source": s, "total": render_rational(total)} for s, total in self.nonconforming_sources
             ],
         }
 

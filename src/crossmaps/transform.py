@@ -131,10 +131,10 @@ def _require_clean(crossmap: Crossmap, array: MassArray, options: TransformOptio
     # missing values, negative masses (both as check_array classifies
     # them), then coverage.
     findings = check_array(array)
-    missing = tuple(f.key for f in findings if f.kind == "missing_value")
+    missing = tuple(f.subject for f in findings if f.code == "missing_value")
     if missing:
         raise MissingValueError(missing)
-    negative = tuple(f.key for f in findings if f.kind == "negative_value")
+    negative = tuple(f.subject for f in findings if f.code == "negative_value")
     if negative:
         raise NegativeMassError(negative)
     coverage = check_coverage(crossmap, array)

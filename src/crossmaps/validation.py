@@ -16,6 +16,7 @@ from typing import Literal
 from .core import (
     Crossmap,
     EdgeListDraft,
+    Finding,
     MassArray,
     ValidationReport,
     ZERO,
@@ -25,7 +26,6 @@ from .core import (
 )
 
 __all__ = [
-    "ArrayFinding",
     "ArrayPolicy",
     "CoverageReport",
     "check_array",
@@ -56,30 +56,6 @@ class CoverageReport:
         }
 
 
-@dataclass(frozen=True)
-class ArrayFinding:
-    """One problematic mass array entry."""
-
-    key: str
-    kind: Literal["missing_value", "negative_value", "nonpositive_value"]
-    value: Fraction | None = None
-
-    def message(self) -> str:
-        if self.kind == "missing_value":
-            return f"{self.key!r} is missing (NA); replace it with zero explicitly before transforming"
-        if self.kind == "negative_value":
-            return f"{self.key!r} has negative mass {render_rational(self.value)}"
-        return f"{self.key!r} has zero mass, rejected under the strict-positive policy"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "key": self.key,
-            "kind": self.kind,
-            "value": None if self.value is None else render_rational(self.value),
-            "message": self.message(),
-        }
-
-
 def check_mass_preserving(draft: EdgeListDraft) -> ValidationReport:
     """Report every source whose outgoing weights do not sum to exactly 1.
 
@@ -105,19 +81,24 @@ def check_coverage(crossmap: Crossmap, array: MassArray) -> CoverageReport:
     return CoverageReport(conformable=not uncovered, uncovered_keys=uncovered, mass_at_risk=at_risk)
 
 
-def check_array(array: MassArray, policy: ArrayPolicy = "allow_zero") -> tuple[ArrayFinding, ...]:
+def check_array(array: MassArray, policy: ArrayPolicy = "allow_zero") -> tuple[Finding, ...]:
     """Flag missing, negative, and (under ``strict_positive``) zero masses.
 
-    Zeros are admitted by default: they are the sanctioned explicit
-    replacement for missing values, and rejecting them would push users
-    back toward leaving NAs in place.
+    Each finding is an error whose ``code`` is ``missing_value``,
+    ``negative_value`` or ``nonpositive_value`` and whose ``subject`` is
+    the key.  Zeros are admitted by default: they are the sanctioned
+    explicit replacement for missing values, and rejecting them would push
+    users back toward leaving NAs in place.
     """
-    findings: list[ArrayFinding] = []
+    findings: list[Finding] = []
     for key, value in array.items():
         if value is None:
-            findings.append(ArrayFinding(key, "missing_value"))
+            message = f"{key!r} is missing (NA); replace it with zero explicitly before transforming"
+            findings.append(Finding("error", "missing_value", key, message))
         elif value.numerator < 0:
-            findings.append(ArrayFinding(key, "negative_value", value))
+            message = f"{key!r} has negative mass {render_rational(value)}"
+            findings.append(Finding("error", "negative_value", key, message, value))
         elif policy == "strict_positive" and value == ZERO:
-            findings.append(ArrayFinding(key, "nonpositive_value", value))
+            message = f"{key!r} has zero mass, rejected under the strict-positive policy"
+            findings.append(Finding("error", "nonpositive_value", key, message, value))
     return tuple(findings)

@@ -3,20 +3,38 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import crossmaps
 from crossmaps import cli
+from crossmaps.algebra import CompositionError
 from crossmaps.cli import MAX_JOBS, main
-from crossmaps.core import Crossmap, Edge, build_crossmap
-from crossmaps.formats import read_edge_list, write_edge_list
+from crossmaps.core import (
+    Crossmap,
+    CrossmapError,
+    Edge,
+    EdgeListDraft,
+    InvalidCrossmapError,
+    ValueTooLongError,
+    build_crossmap,
+    validate_draft,
+)
+from crossmaps.extraction import ProbeError
+from crossmaps.formats import ParseError, read_edge_list, write_edge_list
+from crossmaps.transform import CoverageError, MissingValueError, NegativeMassError
 
 HARNESS = Path(__file__).parent / "trunc_harness.py"
 
@@ -29,6 +47,18 @@ COUNTRY_CSV = (
     "W.GER,DEU,1\n"
 )
 OBS_CSV = "key,value\nAUS,140\nBLX,10\nE.GER,3\nW.GER,4\n"
+
+# Valid inputs whose exact results have more digits than str() may print:
+# the sum 18 * LONG / 77 on target t, and a composed weight over LONG * (LONG - 1).
+LONG = 10 ** sys.get_int_max_str_digits() - 1
+TOO_LONG_APPLY = {
+    "m.csv": b"from,to,weight\ns1,t,1\ns2,t,1\n",
+    "d.csv": f"key,value\ns1,{LONG}/7\ns2,{LONG}/11\n".encode(),
+}
+TOO_LONG_COMPOSE = {
+    "m.csv": f"from,to,weight\na,m,1/{LONG}\na,n,{LONG - 1}/{LONG}\n".encode(),
+    "n.csv": f"from,to,weight\nm,y,{LONG - 2}/{LONG - 1}\nm,z,1/{LONG - 1}\nn,z,1\n".encode(),
+}
 
 
 @pytest.fixture
@@ -514,3 +544,203 @@ class TestExitCodes:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "io"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["country.csv", "obs.csv"]
+
+
+def _write_inputs(root: Path, files: dict[str, bytes]) -> None:
+    for name, data in files.items():
+        (root / name).write_bytes(data)
+
+
+def _leftovers(root: Path) -> list[str]:
+    """Output files under ``root``: the ``--out`` target and any partial ``.tmp``."""
+    return sorted(p.name for p in root.rglob("*") if p.name == "o.csv" or p.name.endswith(".tmp"))
+
+
+class TestFailureDocuments:
+    def test_every_exported_error_renders_a_document(self):
+        report = validate_draft(EdgeListDraft([Edge("a", "b", Fraction(1, 2))]))
+        samples = {
+            CompositionError: CompositionError(("m",)),
+            CoverageError: CoverageError(("k",), Fraction(3), step=1),
+            InvalidCrossmapError: InvalidCrossmapError(report, subject="m.csv"),
+            MissingValueError: MissingValueError(("k",)),
+            NegativeMassError: NegativeMassError(("k",)),
+            ParseError: ParseError("m.csv", [(2, "blank key")]),
+            ProbeError: ProbeError("'cat' failed: exit status 4"),
+            ValueTooLongError: ValueTooLongError("exact value too long"),
+        }
+        exported = {
+            obj
+            for obj in map(crossmaps.__dict__.get, crossmaps.__all__)
+            if isinstance(obj, type) and issubclass(obj, CrossmapError) and obj is not CrossmapError
+        }
+        assert exported == set(samples)
+        for exc in samples.values():
+            document = json.loads(json.dumps(exc.to_json_dict()))
+            assert isinstance(document["error"], str) and document["error"]
+
+    def test_invalid_crossmap_from_a_library_call_exits_one(self, country_file, tmp_path, capsys, monkeypatch):
+        report = validate_draft(EdgeListDraft([Edge("a", "b", Fraction(1, 2))]))
+
+        def refuse(first, second):
+            raise InvalidCrossmapError(report)
+
+        monkeypatch.setattr(cli, "compose", refuse)
+        out = tmp_path / "x.csv"
+        assert main(["compose", country_file, country_file, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == json.dumps({"error": "validation", **report.to_json_dict()}, indent=2) + "\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, inputs",
+        [
+            (["validate", "{m}"], {"m.csv": b"from,to,weight\na,b,1/2\n"}),
+            (["classify", "{m}"], {"m.csv": b"from,to,weight\na,b,1/2\n"}),
+            (["reverse", "{m}", "--out", "{o}"], {"m.csv": b"from,to,weight\ns1,t,1\ns2,t,1\n"}),
+            (["import-crosswalk", "{m}", "--out", "{o}"], {"m.csv": b"from,to\nBLX,BEL\nBLX,LUX\n"}),
+        ],
+        ids=["validate", "invalid_map", "reverse", "import_crosswalk"],
+    )
+    def test_report_documents_name_their_error_first(self, argv, inputs, tmp_path, capsys):
+        _write_inputs(tmp_path, inputs)
+        assert main([a.format(m=tmp_path / "m.csv", o=tmp_path / "o.csv") for a in argv]) == 1
+        document = json.loads(capsys.readouterr().err)
+        assert list(document)[:3] == ["error", "ok", "findings"]
+        assert document["error"] == "validation" and document["ok"] is False
+        assert _leftovers(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "argv, inputs",
+        [
+            (["apply", "--map", "{m}", "--data", "{d}", "--out", "{o}"], TOO_LONG_APPLY),
+            (["compose", "{m}", "{n}", "--out", "{o}"], TOO_LONG_COMPOSE),
+        ],
+        ids=["apply", "compose"],
+    )
+    def test_result_too_long_to_print_is_one_document(self, argv, inputs, tmp_path, capsys):
+        _write_inputs(tmp_path, inputs)
+        names = {k: tmp_path / f"{k}.csv" for k in "mndo"}
+        assert main([a.format(**names) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        document = json.loads(captured.err)
+        assert document["error"] == "too_long"
+        assert str(sys.get_int_max_str_digits()) in document["message"]
+        assert _leftovers(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "tolerance", ["1e-999999999", "0e5000", "1E+" + "9" * 5000], ids=["huge_exponent", "zero", "exponent_too_long"]
+    )
+    def test_huge_tolerance_exponent_is_refused_unbuilt(self, tolerance, tmp_path, capsys, monkeypatch):
+        def spy(*args):
+            if tolerance in args:
+                pytest.fail(f"built Fraction({tolerance[:20]!r}...)")
+            return Fraction(*args)
+
+        monkeypatch.setattr(cli, "Fraction", spy)
+        monkeypatch.setattr(cli, "probe_blackbox", lambda *a, **k: pytest.fail("probed"))
+        keys = tmp_path / "keys.txt"
+        keys.write_text("a\n", encoding="utf-8")
+        out = tmp_path / "o.csv"
+        code = main(["extract", "--cmd", "cat", "--keys", str(keys), f"--tolerance={tolerance}", "--out", str(out)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "usage"
+        assert not out.exists()
+
+
+# Generated CLI runs: argv drawn per subcommand over a few fixed file names,
+# file and stdin bytes from CSV-like cells or raw bytes (non-UTF-8 included).
+# extract only ever runs the fixed `cat` with --jobs 1 or 2, on at most four keys.
+INPUT_NAMES = ("m.csv", "n.csv", "d.csv", "k.txt")
+PATH_TOKENS = frozenset(INPUT_NAMES) | {"missing.csv", "o.csv", "p.jsonl", "sub/o.csv", "sub/p.jsonl"}
+CELL = st.sampled_from(
+    ["a", "b", " a ", "t", "", '"a,b"', '"', "1", "1/2", "1/3", "2/3", "0", "-1", "+1", "NA", "1.5", ".5", "1/0", "x", "é"]
+)
+HEADER = st.sampled_from(["from,to,weight", "key,value", "from,to", "key", ""])
+
+
+def _csv(header: str):
+    # Rows mostly as wide as the header, so some files parse and reach later checks.
+    width = header.count(",") + 1
+    row = st.one_of(st.lists(CELL, min_size=width, max_size=width), st.lists(CELL, max_size=4)).map(",".join)
+    return st.lists(row, max_size=3).map(lambda rows: "\n".join([header, *rows]).encode() + b"\n")
+
+
+CSV_BYTES = HEADER.flatmap(_csv)
+RAW_BYTES = (
+    st.lists(st.sampled_from([b"a", b"1", b",", b"/", b"-", b" ", b'"', b"NA", b"\n", b"\r", b"\xff", b"\xe9"]), max_size=10)
+    .map(b"".join)
+    .filter(lambda b: len(b.splitlines()) <= 4)
+)
+FILE_BYTES = st.one_of(CSV_BYTES, RAW_BYTES)
+INPUT = st.sampled_from(["m.csv", "n.csv", "d.csv", "missing.csv", "-"])
+OUT = st.sampled_from(["o.csv", "sub/o.csv"])
+PROVENANCE = st.sampled_from([[], ["--provenance", "p.jsonl"], ["--provenance", "sub/p.jsonl"]])
+JUNK = st.sampled_from([[], ["--bogus"], ["extra"]])
+
+
+def _flag(*words: str):
+    return st.sampled_from([[], list(words)])
+
+
+def _argv(*parts):
+    """Concatenate the token lists drawn from ``parts`` (fixed lists or strategies)."""
+    drawn = [p if isinstance(p, st.SearchStrategy) else st.just(p) for p in parts]
+    return st.tuples(*drawn).map(lambda lists: [t for tokens in lists for t in tokens])
+
+
+def _one(strategy):
+    return strategy.map(lambda token: [token])
+
+
+ARGV = st.one_of(
+    _argv(["validate"], _one(INPUT), _flag("--json"), JUNK),
+    _argv(
+        ["apply", "--map"], _one(INPUT), ["--data"], _one(INPUT), _flag("--drop-uncovered"), _flag("--drop-zeros"),
+        _flag("--json"), st.sampled_from([[], ["--out", "-"], ["--out", "o.csv"], ["--out", "sub/o.csv"]]), PROVENANCE,
+    ),
+    _argv(["compose"], st.lists(INPUT, max_size=3), ["--out"], _one(OUT), PROVENANCE, JUNK),
+    _argv(["reverse"], _one(INPUT), ["--out"], _one(OUT), PROVENANCE),
+    _argv(["classify"], _one(INPUT), _flag("--json")),
+    _argv(["summarize"], _one(INPUT), st.one_of(st.just([]), _one(INPUT).map(lambda t: ["--data", *t])), _flag("--json")),
+    _argv(
+        ["extract", "--cmd", "cat", "--keys"], _one(st.sampled_from(["k.txt", "-", "missing.csv"])),
+        st.sampled_from([[]] + [["--tolerance", t] for t in ("0", "1/2", "1e-9", "abc", "-1", "1e-99999", "0e5000")]),
+        st.sampled_from([[]] + [["--rationalize-max-den", n] for n in ("0", "1", "100", "x")]),
+        st.sampled_from([[], ["--jobs", "1"], ["--jobs", "2"]]), ["--out"], _one(OUT), PROVENANCE,
+    ),
+    _argv(["import-crosswalk"], _one(INPUT), _flag("--equal-split"), ["--out"], _one(OUT), PROVENANCE),
+    _argv(["export-dot"], _one(INPUT), ["--out"], _one(OUT), PROVENANCE),
+    st.lists(st.sampled_from(["validate", "apply", "--map", "m.csv", "--out", "-", "--json", "--jobs", "x"]), max_size=4),
+)
+
+
+class TestContractProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(argv=ARGV, files=st.fixed_dictionaries({name: FILE_BYTES for name in INPUT_NAMES}), stdin=FILE_BYTES)
+    @example(argv=["apply", "--map", "m.csv", "--data", "d.csv", "--out", "o.csv"], files=TOO_LONG_APPLY, stdin=b"")
+    @example(argv=["compose", "m.csv", "n.csv", "--out", "o.csv"], files=TOO_LONG_COMPOSE, stdin=b"")
+    @example(
+        argv=["import-crosswalk", "m.csv", "--equal-split", "--out", "o.csv", "--provenance", "sub/p.jsonl"],
+        files={"m.csv": b"from,to\na,a\na,b\n"},
+        stdin=b"",
+    )
+    def test_exit_code_and_one_error_document(self, argv, files, stdin):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            _write_inputs(root, files)
+            err = io.StringIO()
+            fake_stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
+            with redirect_stdout(io.StringIO()), redirect_stderr(err), mock.patch("sys.stdin", fake_stdin):
+                try:
+                    code = main([str(root / a) if a in PATH_TOKENS else a for a in argv])
+                except SystemExit as exc:
+                    code = exc.code
+            assert code in (0, 1, 2, 3)
+            if code:
+                text = err.getvalue()
+                assert "Traceback" not in text
+                assert "error" in json.loads(text)
+                assert _leftovers(root) == []

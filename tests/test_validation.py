@@ -128,19 +128,19 @@ class TestCoverage:
 class TestCheckArray:
     def test_missing_value_flagged(self):
         (finding,) = check_array(MassArray({"x5555": None}))
-        assert (finding.key, finding.kind) == ("x5555", "missing_value")
-        assert "replace" in finding.message()
+        assert (finding.subject, finding.code) == ("x5555", "missing_value")
+        assert "replace" in finding.message
 
     def test_zero_fine_under_allow_zero(self):
         assert check_array(MassArray({"a": 0})) == ()
 
     def test_zero_flagged_under_strict_positive(self):
         (finding,) = check_array(MassArray({"a": 0}), policy="strict_positive")
-        assert finding.kind == "nonpositive_value"
+        assert finding.code == "nonpositive_value"
 
     def test_negative_always_flagged(self):
         (finding,) = check_array(MassArray({"a": Fraction(-3)}))
-        assert finding.kind == "negative_value"
+        assert finding.code == "negative_value"
         assert finding.value == Fraction(-3)
 
     def test_clean_array_has_no_findings(self):
