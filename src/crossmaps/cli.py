@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import os
 import shlex
@@ -29,6 +30,7 @@ from .core import (
     ValidationReport,
     build_crossmap,
     render_rational,
+    validate_draft,
 )
 from .extraction import ExternalCommandTransform, ProbeError, probe_blackbox
 from .formats import (
@@ -46,7 +48,6 @@ from .transform import (
     TransformReceipt,
     apply_transform,
 )
-from .validation import check_mass_preserving
 
 __all__ = ["main"]
 
@@ -59,39 +60,48 @@ SUMMARY_KEY_DISPLAY_LIMIT = 10
 MAX_JOBS = 64
 
 
-def _fail(payload: dict) -> None:
-    sys.stderr.write(json.dumps(payload, indent=2) + "\n")
+def _source(args: argparse.Namespace, path: str):
+    """The one reader of an input: a text stream over the file's bytes, read once.
+
+    The bytes are decoded as UTF-8 with universal newlines, as a text-mode
+    read would; under ``--provenance`` their sha256 is kept for the record.
+    '-' means standard input, which is not recorded.
+    """
+    if path == "-":
+        return sys.stdin
+    data = Path(path).read_bytes()
+    if getattr(args, "provenance", None):
+        args.inputs[path] = "sha256:" + hashlib.sha256(data).hexdigest()
+    stream = io.StringIO(data.decode("utf-8"), newline=None)
+    stream.name = path
+    return stream
 
 
-def _source(path: str):
-    """A readable source for the formats readers; '-' means standard input."""
-    return sys.stdin if path == "-" else path
-
-
-def _emit(args: argparse.Namespace, text: str, inputs: list[str], extra: dict) -> None:
-    """Write ``text`` to ``--out`` (or stdout), then append the provenance record.
+def _emit(args: argparse.Namespace, text: str, extra: dict, trailer: str = "") -> None:
+    """The one writer of a result: provenance record, then ``--out`` or stdout, then ``trailer`` on stderr.
 
     A file output is written beside its target under a temporary name and
     renamed into place only after the provenance record is appended, so a
-    failed run never leaves an ``--out`` file behind.
+    failed run leaves neither an ``--out`` file nor anything on stdout.
     """
     if args.out is None or args.out == "-":
+        _provenance_record(args, extra)
         sys.stdout.write(text)
-        _provenance_record(args, inputs, extra)
-        return
-    target = Path(args.out)
-    partial = target.with_name(f".{target.name}.{os.getpid()}.tmp")
-    try:
-        partial.write_text(text, encoding="utf-8")
-        _provenance_record(args, inputs, extra)
-        os.replace(partial, target)
-    except BaseException:
-        partial.unlink(missing_ok=True)
-        raise
+    else:
+        target = Path(args.out)
+        partial = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        try:
+            partial.write_text(text, encoding="utf-8")
+            _provenance_record(args, extra)
+            os.replace(partial, target)
+        except BaseException:
+            partial.unlink(missing_ok=True)
+            raise
+    sys.stderr.write(trailer)
 
 
-def _load_crossmap(path: str) -> Crossmap:
-    built = build_crossmap(read_edge_list(_source(path)))
+def _load_crossmap(args: argparse.Namespace, path: str) -> Crossmap:
+    built = build_crossmap(read_edge_list(_source(args, path)))
     if isinstance(built, ValidationReport):
         raise InvalidCrossmapError(built, subject=path)
     return built
@@ -109,32 +119,26 @@ def _receipt_lines(receipt: TransformReceipt) -> str:
     return "".join(f"{k.ljust(width)}  {v}\n" for k, v in d.items())
 
 
-def _provenance_record(args: argparse.Namespace, inputs: list[str], extra: dict) -> None:
-    path = getattr(args, "provenance", None)
-    if not path:
+def _provenance_record(args: argparse.Namespace, extra: dict) -> None:
+    if not args.provenance:
         return
-    digests = {}
-    for name in inputs:
-        if name == "-":
-            continue
-        digests[name] = "sha256:" + hashlib.sha256(Path(name).read_bytes()).hexdigest()
     record = {
         "command": args.command,
-        "inputs": digests,
+        "inputs": args.inputs,
         "options": {
             k: v
             for k, v in vars(args).items()
-            if k not in {"handler", "command", "provenance"} and v is not None
+            if k not in {"handler", "command", "provenance", "inputs"} and v is not None
         },
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     record.update(extra)
-    with open(path, "a", encoding="utf-8") as fh:
+    with open(args.provenance, "a", encoding="utf-8") as fh:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    report = check_mass_preserving(read_edge_list(_source(args.edges)))
+    report = validate_draft(read_edge_list(_source(args, args.edges)))
     sys.stdout.write(to_json(report) if args.json else _report_lines(report))
     if not report.ok:
         raise InvalidCrossmapError(report)
@@ -142,38 +146,38 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_apply(args: argparse.Namespace) -> int:
-    crossmap = _load_crossmap(args.map)
-    array = read_array(_source(args.data))
+    crossmap = _load_crossmap(args, args.map)
+    array = read_array(_source(args, args.data))
     options = TransformOptions(
         emit_zero_targets=not args.drop_zeros,
         on_uncovered="drop_and_report" if args.drop_uncovered else "error",
     )
     output, receipt = apply_transform(crossmap, array, options)
-    _emit(args, write_array(output), [args.map, args.data], {"receipt": receipt.to_json_dict()})
-    sys.stderr.write(to_json(receipt) if args.json else _receipt_lines(receipt))
+    trailer = to_json(receipt) if args.json else _receipt_lines(receipt)
+    _emit(args, write_array(output), {"receipt": receipt.to_json_dict()}, trailer)
     return EXIT_OK
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
-    maps = [_load_crossmap(path) for path in args.edges]
+    maps = [_load_crossmap(args, path) for path in args.edges]
     combined = maps[0]
     for nxt in maps[1:]:
         combined = compose(combined, nxt)
-    _emit(args, write_edge_list(combined), list(args.edges), {})
+    _emit(args, write_edge_list(combined), {})
     return EXIT_OK
 
 
 def _cmd_reverse(args: argparse.Namespace) -> int:
-    crossmap = _load_crossmap(args.edges)
+    crossmap = _load_crossmap(args, args.edges)
     result = reverse(crossmap)
     if isinstance(result, ValidationReport):
         raise InvalidCrossmapError(result, subject=args.edges)
-    _emit(args, write_edge_list(result), [args.edges], {})
+    _emit(args, write_edge_list(result), {})
     return EXIT_OK
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    crossmap = _load_crossmap(args.edges)
+    crossmap = _load_crossmap(args, args.edges)
     found = components(crossmap)
     if args.json:
         sys.stdout.write(to_json([c.to_json_dict() for c in found]))
@@ -221,8 +225,8 @@ def _metrics_lines(crossmap: Crossmap, array: MassArray | None) -> str:
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
-    crossmap = _load_crossmap(args.edges)
-    array = read_array(_source(args.data)) if args.data else None
+    crossmap = _load_crossmap(args, args.edges)
+    array = read_array(_source(args, args.data)) if args.data else None
     if args.json:
         payload = summarize(crossmap).to_json_dict()
         payload["imputation"] = imputation_metrics(crossmap, array).to_json_dict()
@@ -246,13 +250,12 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     except ValueError:
         tolerance = None
     if tolerance is None or tolerance < 0:
-        _fail({"error": "usage", "message": f"--tolerance must be a non-negative number, got {args.tolerance!r}"})
+        message = f"--tolerance must be a non-negative number, got {args.tolerance!r}"
+        sys.stderr.write(to_json({"error": "usage", "message": message}))
         return EXIT_USAGE
-    source = _source(args.keys)
-    text = source.read() if source is sys.stdin else Path(source).read_text(encoding="utf-8")
-    keys = [line.strip() for line in text.splitlines() if line.strip()]
+    keys = [line.strip() for line in _source(args, args.keys).read().splitlines() if line.strip()]
     if not keys:
-        _fail({"error": "usage", "message": f"--keys file {args.keys!r} holds no source keys"})
+        sys.stderr.write(to_json({"error": "usage", "message": f"--keys file {args.keys!r} holds no source keys"}))
         return EXIT_USAGE
     transform = ExternalCommandTransform(args.cmd)
     result = probe_blackbox(
@@ -265,27 +268,25 @@ def _cmd_extract(args: argparse.Namespace) -> int:
     if result.crossmap is None:
         payload = result.to_json_dict()
         payload["error"] = "nonconforming_probe_totals"
-        _fail(payload)
+        sys.stderr.write(to_json(payload))
         return EXIT_VALIDATION
-    _emit(args, write_edge_list(result.crossmap), [args.keys], {"extraction": result.to_json_dict()})
+    _emit(args, write_edge_list(result.crossmap), {"extraction": result.to_json_dict()})
     return EXIT_OK
 
 
 def _cmd_import_crosswalk(args: argparse.Namespace) -> int:
     policy = "equal_split" if args.equal_split else "reject_splits"
-    crossmap, report = import_crosswalk(_source(args.crosswalk), split_policy=policy)
+    crossmap, report = import_crosswalk(_source(args, args.crosswalk), split_policy=policy)
     if crossmap is None:
         raise InvalidCrossmapError(report, subject=args.crosswalk)
-    _emit(args, write_edge_list(crossmap), [args.crosswalk], {})
-    # Last, like apply's receipt: a failed write leaves one error document alone on stderr.
-    for warning in report.warnings:
-        sys.stderr.write(f"warning {warning.code} {warning.subject}: {warning.message}\n")
+    warnings = "".join(f"warning {w.code} {w.subject}: {w.message}\n" for w in report.warnings)
+    _emit(args, write_edge_list(crossmap), {}, warnings)
     return EXIT_OK
 
 
 def _cmd_export_dot(args: argparse.Namespace) -> int:
-    crossmap = _load_crossmap(args.edges)
-    _emit(args, export_dot(crossmap), [args.edges], {})
+    crossmap = _load_crossmap(args, args.edges)
+    _emit(args, export_dot(crossmap), {})
     return EXIT_OK
 
 
@@ -293,7 +294,7 @@ class _Parser(argparse.ArgumentParser):
     """Argument errors follow the exit-code contract: one JSON document, exit 2."""
 
     def error(self, message: str):
-        _fail({"error": "usage", "message": message})
+        sys.stderr.write(to_json({"error": "usage", "message": message}))
         raise SystemExit(EXIT_USAGE)
 
 
@@ -330,32 +331,30 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Validate, apply, compose, analyse, and extract mass-preserving key mappings.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Shared by every command that writes a result through _emit.
+    result = argparse.ArgumentParser(add_help=False)
+    result.add_argument("--out", help="write the result to this file instead of standard output ('-')")
+    result.add_argument("--provenance", help="append a JSON record of input digests and options to this file")
 
     p = sub.add_parser("validate", help="check an edge list satisfies every crossmap condition")
     p.add_argument("edges")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_validate)
 
-    p = sub.add_parser("apply", help="transform a mass array; receipt goes to standard error")
+    p = sub.add_parser("apply", parents=[result], help="transform a mass array; receipt goes to standard error")
     p.add_argument("--map", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--drop-uncovered", action="store_true", help="drop uncovered keys and report the dropped mass")
     p.add_argument("--drop-zeros", action="store_true", help="omit zero-valued targets from the output")
-    p.add_argument("--out")
     p.add_argument("--json", action="store_true")
-    p.add_argument("--provenance")
     p.set_defaults(handler=_cmd_apply)
 
-    p = sub.add_parser("compose", help="fold a chain of edge lists into one crossmap")
+    p = sub.add_parser("compose", parents=[result], help="fold a chain of edge lists into one crossmap")
     p.add_argument("edges", nargs="+")
-    p.add_argument("--out", required=True)
-    p.add_argument("--provenance")
     p.set_defaults(handler=_cmd_compose)
 
-    p = sub.add_parser("reverse", help="transpose a crossmap when the transpose is itself valid")
+    p = sub.add_parser("reverse", parents=[result], help="transpose a crossmap when the transpose is itself valid")
     p.add_argument("edges")
-    p.add_argument("--out", required=True)
-    p.add_argument("--provenance")
     p.set_defaults(handler=_cmd_reverse)
 
     p = sub.add_parser("classify", help="list disjoint components and their relation types")
@@ -369,27 +368,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_summarize)
 
-    p = sub.add_parser("extract", help="recover the crossmap inside an opaque command by probing")
+    p = sub.add_parser("extract", parents=[result], help="recover the crossmap inside an opaque command by probing")
     p.add_argument("--cmd", required=True, type=_command, help="command reading an array CSV on stdin, writing one on stdout")
     p.add_argument("--keys", required=True, help="file with one source key per line; - reads standard input")
     p.add_argument("--tolerance", default="1e-9")
     p.add_argument("--rationalize-max-den", type=_positive_int(), default=None)
     p.add_argument("--jobs", type=_positive_int(MAX_JOBS), default=1)
-    p.add_argument("--out", required=True)
-    p.add_argument("--provenance")
     p.set_defaults(handler=_cmd_extract)
 
-    p = sub.add_parser("import-crosswalk", help="turn a two-column lookup table into a crossmap")
+    p = sub.add_parser("import-crosswalk", parents=[result], help="turn a two-column lookup table into a crossmap")
     p.add_argument("crosswalk")
     p.add_argument("--equal-split", action="store_true", help="give a split source equal weights instead of rejecting it")
-    p.add_argument("--out", required=True)
-    p.add_argument("--provenance")
     p.set_defaults(handler=_cmd_import_crosswalk)
 
-    p = sub.add_parser("export-dot", help="deterministic DOT rendering, one cluster per component")
+    p = sub.add_parser("export-dot", parents=[result], help="deterministic DOT rendering, one cluster per component")
     p.add_argument("edges")
-    p.add_argument("--out", required=True)
-    p.add_argument("--provenance")
     p.set_defaults(handler=_cmd_export_dot)
 
     return parser
@@ -398,19 +391,21 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    args.inputs = {}  # input digests, filled by _source under --provenance
     try:
         return args.handler(args)
     except ProbeError as exc:
-        _fail(exc.to_json_dict())
+        sys.stderr.write(to_json(exc))
         return EXIT_PROBE
     except CrossmapError as exc:
-        _fail(exc.to_json_dict())
+        sys.stderr.write(to_json(exc))
         return EXIT_VALIDATION
     except (OSError, UnicodeDecodeError) as exc:
         if isinstance(exc, UnicodeDecodeError):
-            _fail({"error": "encoding", "message": f"input is not UTF-8: {exc}"})
+            payload = {"error": "encoding", "message": f"input is not UTF-8: {exc}"}
         else:
-            _fail({"error": "io", "message": str(exc)})
+            payload = {"error": "io", "message": str(exc)}
+        sys.stderr.write(to_json(payload))
         return EXIT_USAGE
 
 

@@ -173,14 +173,18 @@ def _exact_total(values: Iterable[Fraction]) -> Fraction:
 
 
 def clean_key(text: str) -> str:
-    """Strip surrounding whitespace and reject empty keys.
+    """Strip surrounding whitespace and reject empty keys and keys holding ``\\r``.
 
     Keys are otherwise opaque and compared by exact byte equality; any
-    normalisation beyond trimming is the caller's concern.
+    normalisation beyond trimming is the caller's concern.  A carriage
+    return is refused because no CSV file can carry it back: text-mode
+    reading turns it into ``\\n``.
     """
     key = text.strip()
     if not key:
         raise ValueError("key is empty after trimming whitespace")
+    if "\r" in key:
+        raise ValueError(f"key {key!r} contains a carriage return")
     return key
 
 

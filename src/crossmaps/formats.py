@@ -80,6 +80,10 @@ def _open_rows(source: str | Path | TextIO) -> tuple[str, list[list[str]]]:
     else:
         name = str(source)
         text = Path(source).read_text(encoding="utf-8")
+    if "\r" in text:
+        # The universal-newline reading a text-mode file gets, for streams too:
+        # csv.reader ends a row at a bare \r that the writers leave unquoted.
+        text = io.StringIO(text, newline=None).read()
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         return name, list(reader)
@@ -140,39 +144,12 @@ def read_edge_list(source: str | Path | TextIO) -> EdgeListDraft:
     return EdgeListDraft(edges)
 
 
-def _decimal_text(value: Fraction) -> str:
-    # Exact finite decimal expansion, or the p/q text when there is none (e.g. 1/3).
-    den = value.denominator
-    twos = fives = 0
-    while den % 2 == 0:
-        den //= 2
-        twos += 1
-    while den % 5 == 0:
-        den //= 5
-        fives += 1
-    if den != 1:
-        return render_rational(value)
-    places = max(twos, fives)
-    if places == 0:
-        return str(value.numerator)
-    units = value.numerator * 10**places // value.denominator
-    sign = "-" if units < 0 else ""
-    whole, part = divmod(abs(units), 10**places)
-    return f"{sign}{whole}.{str(part).zfill(places)}"
-
-
-def write_edge_list(crossmap: Crossmap, decimal_weights: bool = False) -> str:
-    """Canonical edge-list CSV: sorted rows, weights as exact ``p/q`` text.
-
-    ``decimal_weights`` is presentation only: weights with a finite decimal
-    expansion render as that exact decimal, anything else stays ``p/q``, so
-    the file re-parses to the same crossmap either way.
-    """
+def write_edge_list(crossmap: Crossmap) -> str:
+    """Canonical edge-list CSV: sorted rows, weights as exact ``p/q`` text."""
     buffer = io.StringIO()
     writer = _csv_writer(buffer)
     writer.writerow(EDGE_HEADER)
-    render = _decimal_text if decimal_weights else render_rational
-    writer.writerows((e.source, e.target, render(e.weight)) for e in crossmap.edges)
+    writer.writerows((e.source, e.target, render_rational(e.weight)) for e in crossmap.edges)
     return buffer.getvalue()
 
 

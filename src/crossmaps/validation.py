@@ -15,10 +15,8 @@ from typing import Literal
 
 from .core import (
     Crossmap,
-    EdgeListDraft,
     Finding,
     MassArray,
-    ValidationReport,
     ZERO,
     _exact_total,
     render_rational,
@@ -56,16 +54,9 @@ class CoverageReport:
         }
 
 
-def check_mass_preserving(draft: EdgeListDraft) -> ValidationReport:
-    """Report every source whose outgoing weights do not sum to exactly 1.
-
-    Equivalent to checking that the matrix encoding maps the all-ones
-    vector to itself; any failing row pinpoints a source key with at least
-    one incorrectly specified outgoing relation.  This is the same rule
-    ``build_crossmap`` enforces, exposed as a standalone check, so the
-    report also carries duplicate-pair and out-of-range findings.
-    """
-    return validate_draft(draft)
+# The weight-sum rule as a standalone check: the one ``build_crossmap`` runs,
+# so its report also carries duplicate-pair and out-of-range findings.
+check_mass_preserving = validate_draft
 
 
 def check_coverage(crossmap: Crossmap, array: MassArray) -> CoverageReport:

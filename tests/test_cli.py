@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -34,7 +35,7 @@ from crossmaps.core import (
 )
 from crossmaps.extraction import ProbeError
 from crossmaps.formats import ParseError, read_edge_list, write_edge_list
-from crossmaps.transform import CoverageError, MissingValueError, NegativeMassError
+from crossmaps.transform import CoverageError, MissingValueError, NegativeMassError, apply_transform
 
 HARNESS = Path(__file__).parent / "trunc_harness.py"
 
@@ -546,6 +547,68 @@ class TestExitCodes:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["country.csv", "obs.csv"]
 
 
+class TestOneReaderOneWriter:
+    def test_failed_provenance_write_leaves_stdout_empty(self, country_file, obs_file, tmp_path, capsys):
+        ledger = tmp_path / "missing" / "p.jsonl"
+        assert main(["apply", "--map", country_file, "--data", obs_file, "--provenance", str(ledger)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "io"
+
+    def test_digest_is_of_the_bytes_parsed(self, country_file, obs_file, tmp_path, capsys, monkeypatch):
+        parsed = Path(country_file).read_bytes()
+
+        def rewrite_then_apply(*args):
+            Path(country_file).write_text(COUNTRY_CSV.replace("AUS,AUS", "AUS,AUT"), encoding="utf-8")
+            return apply_transform(*args)
+
+        monkeypatch.setattr(cli, "apply_transform", rewrite_then_apply)
+        ledger = tmp_path / "p.jsonl"
+        assert main(["apply", "--map", country_file, "--data", obs_file, "--provenance", str(ledger)]) == 0
+        assert capsys.readouterr().out.startswith("key,value\nAUS,140\n")
+        digest = json.loads(ledger.read_text(encoding="utf-8"))["inputs"][country_file]
+        assert digest == "sha256:" + hashlib.sha256(parsed).hexdigest()
+
+    @pytest.mark.parametrize(
+        ("argv", "inputs"),
+        [
+            (["apply", "--map", "{m}", "--data", "{d}"], {"m": COUNTRY_CSV, "d": OBS_CSV}),
+            (["compose", "{m}", "{n}"], {"m": COUNTRY_CSV, "n": "from,to,weight\nAUS,A,1\nBEL,B,1\nLUX,B,1\nDEU,D,1\n"}),
+            (["reverse", "{m}"], {"m": "from,to,weight\na,x,1\nb,y,1\n"}),
+            (["extract", "--cmd", "cat", "--keys", "{k}"], {"k": "a\nb\n"}),
+            (["import-crosswalk", "{m}", "--equal-split"], {"m": "from,to\na,x\na,y\n"}),
+            (["export-dot", "{m}"], {"m": COUNTRY_CSV}),
+        ],
+        ids=["apply", "compose", "reverse", "extract", "import_crosswalk", "export_dot"],
+    )
+    def test_each_input_is_read_once(self, argv, inputs, tmp_path, capsys, monkeypatch):
+        names = {k: str(tmp_path / f"{k}.csv") for k in inputs}
+        for key, text in inputs.items():
+            Path(names[key]).write_text(text, encoding="utf-8")
+        reads: list[str] = []
+        real_bytes, real_text = Path.read_bytes, Path.read_text
+
+        def read_bytes(self):
+            reads.append(str(self))
+            return real_bytes(self)
+
+        def read_text(self, *args, **kwargs):
+            reads.append(str(self))
+            return real_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_bytes", read_bytes)
+        monkeypatch.setattr(Path, "read_text", read_text)
+        ledger = tmp_path / "p.jsonl"
+        assert main([a.format(**names) for a in argv] + ["--provenance", str(ledger)]) == 0
+        monkeypatch.undo()
+        assert sorted(reads) == sorted(names.values())
+        record = json.loads(ledger.read_text(encoding="utf-8"))
+        assert record["inputs"] == {
+            name: "sha256:" + hashlib.sha256(Path(name).read_bytes()).hexdigest() for name in names.values()
+        }
+        assert capsys.readouterr().out  # no --out: the result goes to stdout
+
+
 def _write_inputs(root: Path, files: dict[str, bytes]) -> None:
     for name, data in files.items():
         (root / name).write_bytes(data)
@@ -676,7 +739,7 @@ RAW_BYTES = (
 )
 FILE_BYTES = st.one_of(CSV_BYTES, RAW_BYTES)
 INPUT = st.sampled_from(["m.csv", "n.csv", "d.csv", "missing.csv", "-"])
-OUT = st.sampled_from(["o.csv", "sub/o.csv"])
+OUT = st.sampled_from([[], ["--out", "-"], ["--out", "o.csv"], ["--out", "sub/o.csv"]])
 PROVENANCE = st.sampled_from([[], ["--provenance", "p.jsonl"], ["--provenance", "sub/p.jsonl"]])
 JUNK = st.sampled_from([[], ["--bogus"], ["extra"]])
 
@@ -699,20 +762,20 @@ ARGV = st.one_of(
     _argv(["validate"], _one(INPUT), _flag("--json"), JUNK),
     _argv(
         ["apply", "--map"], _one(INPUT), ["--data"], _one(INPUT), _flag("--drop-uncovered"), _flag("--drop-zeros"),
-        _flag("--json"), st.sampled_from([[], ["--out", "-"], ["--out", "o.csv"], ["--out", "sub/o.csv"]]), PROVENANCE,
+        _flag("--json"), OUT, PROVENANCE,
     ),
-    _argv(["compose"], st.lists(INPUT, max_size=3), ["--out"], _one(OUT), PROVENANCE, JUNK),
-    _argv(["reverse"], _one(INPUT), ["--out"], _one(OUT), PROVENANCE),
+    _argv(["compose"], st.lists(INPUT, max_size=3), OUT, PROVENANCE, JUNK),
+    _argv(["reverse"], _one(INPUT), OUT, PROVENANCE),
     _argv(["classify"], _one(INPUT), _flag("--json")),
     _argv(["summarize"], _one(INPUT), st.one_of(st.just([]), _one(INPUT).map(lambda t: ["--data", *t])), _flag("--json")),
     _argv(
         ["extract", "--cmd", "cat", "--keys"], _one(st.sampled_from(["k.txt", "-", "missing.csv"])),
         st.sampled_from([[]] + [["--tolerance", t] for t in ("0", "1/2", "1e-9", "abc", "-1", "1e-99999", "0e5000")]),
         st.sampled_from([[]] + [["--rationalize-max-den", n] for n in ("0", "1", "100", "x")]),
-        st.sampled_from([[], ["--jobs", "1"], ["--jobs", "2"]]), ["--out"], _one(OUT), PROVENANCE,
+        st.sampled_from([[], ["--jobs", "1"], ["--jobs", "2"]]), OUT, PROVENANCE,
     ),
-    _argv(["import-crosswalk"], _one(INPUT), _flag("--equal-split"), ["--out"], _one(OUT), PROVENANCE),
-    _argv(["export-dot"], _one(INPUT), ["--out"], _one(OUT), PROVENANCE),
+    _argv(["import-crosswalk"], _one(INPUT), _flag("--equal-split"), OUT, PROVENANCE),
+    _argv(["export-dot"], _one(INPUT), OUT, PROVENANCE),
     st.lists(st.sampled_from(["validate", "apply", "--map", "m.csv", "--out", "-", "--json", "--jobs", "x"]), max_size=4),
 )
 
@@ -727,13 +790,18 @@ class TestContractProperty:
         files={"m.csv": b"from,to\na,a\na,b\n"},
         stdin=b"",
     )
+    @example(
+        argv=["apply", "--map", "m.csv", "--data", "d.csv", "--provenance", "sub/p.jsonl"],
+        files={"m.csv": COUNTRY_CSV.encode(), "d.csv": OBS_CSV.encode()},
+        stdin=b"",
+    )
     def test_exit_code_and_one_error_document(self, argv, files, stdin):
         with tempfile.TemporaryDirectory() as tmp:
             root = Path(tmp)
             _write_inputs(root, files)
-            err = io.StringIO()
+            out, err = io.StringIO(), io.StringIO()
             fake_stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
-            with redirect_stdout(io.StringIO()), redirect_stderr(err), mock.patch("sys.stdin", fake_stdin):
+            with redirect_stdout(out), redirect_stderr(err), mock.patch("sys.stdin", fake_stdin):
                 try:
                     code = main([str(root / a) if a in PATH_TOKENS else a for a in argv])
                 except SystemExit as exc:
@@ -744,3 +812,5 @@ class TestContractProperty:
                 assert "Traceback" not in text
                 assert "error" in json.loads(text)
                 assert _leftovers(root) == []
+                if argv[:1] != ["validate"]:  # validate's report is its output
+                    assert out.getvalue() == ""

@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from crossmaps import formats
 from crossmaps.core import (
@@ -22,7 +22,6 @@ from crossmaps.core import (
 )
 from crossmaps.formats import (
     ParseError,
-    _decimal_text,
     export_dot,
     import_crosswalk,
     read_array,
@@ -155,23 +154,6 @@ class TestEdgeListFiles:
         assert rebuilt == crossmap
         assert write_edge_list(rebuilt) == text
 
-    def test_decimal_render_flag_is_presentation_only(self):
-        crossmap = Crossmap(
-            [Edge("a", "x", HALF), Edge("a", "y", HALF), Edge("s", "t", Fraction(1, 3)),
-             Edge("s", "u", Fraction(2, 3))]
-        )
-        text = write_edge_list(crossmap, decimal_weights=True)
-        assert "a,x,0.5" in text
-        assert "s,t,1/3" in text  # no finite decimal exists; stays exact
-        rebuilt = build_crossmap(read_edge_list(io.StringIO(text)))
-        assert rebuilt == crossmap
-
-    @given(st.integers(0, 10_000))
-    def test_decimal_render_reparses_to_same_crossmap(self, seed):
-        crossmap = random_crossmap(random.Random(seed), max_sources=5, max_targets=5)
-        text = write_edge_list(crossmap, decimal_weights=True)
-        assert build_crossmap(read_edge_list(io.StringIO(text))) == crossmap
-
 
 class TestArrayFiles:
     def test_basic_entry(self):
@@ -213,6 +195,10 @@ class TestArrayFiles:
 
 KEY_ALPHABET = st.characters(min_codepoint=33, max_codepoint=126)
 AWKWARD_KEYS = st.text(KEY_ALPHABET, min_size=1, max_size=12)
+# Characters special to CSV quoting or to some notion of a line end.
+LINE_BREAKING_KEYS = st.text(
+    st.sampled_from(["a", "b", " ", "\r", "\n", "\t", "\x00", "\x1c", "\u2028", ",", '"']), min_size=1, max_size=6
+)
 
 
 class TestQuoting:
@@ -222,6 +208,23 @@ class TestQuoting:
         text = write_edge_list(crossmap)
         rebuilt = build_crossmap(read_edge_list(io.StringIO(text)))
         assert rebuilt == crossmap
+
+    @given(st.lists(LINE_BREAKING_KEYS, min_size=1, max_size=6))
+    @example(["a\rb", "c"])
+    def test_every_accepted_key_round_trips(self, texts):
+        edges, entries = {}, {}
+        for i, text in enumerate(texts):
+            try:
+                edge = Edge(text, text, ONE)
+                array = MassArray({text: Fraction(i, 7)})
+            except ValueError:
+                continue
+            edges[edge.source] = edge
+            entries.update(array.items())
+        assume(edges)
+        crossmap, array = Crossmap(edges.values()), MassArray(entries)
+        assert build_crossmap(read_edge_list(io.StringIO(write_edge_list(crossmap)))) == crossmap
+        assert read_array(io.StringIO(write_array(array))) == array
 
     def test_comma_key_quoted_rfc_style(self):
         text = write_edge_list(identity_crossmap(['a,b']))
@@ -258,11 +261,8 @@ class TestWriters:
         base = random_crossmap(random.Random(seed), max_sources=12, max_targets=12)
         name = dict(zip([*base.sources, *base.targets], keys))
         crossmap = Crossmap(Edge(name[e.source], name[e.target], e.weight) for e in base.edges)
-        for decimal_weights in (False, True):
-            render = _decimal_text if decimal_weights else render_rational
-            rows = [[e.source, e.target, render(e.weight)] for e in crossmap.edges]
-            expected = per_row_reference(["from", "to", "weight"], rows)
-            assert write_edge_list(crossmap, decimal_weights=decimal_weights) == expected
+        rows = [[e.source, e.target, render_rational(e.weight)] for e in crossmap.edges]
+        assert write_edge_list(crossmap) == per_row_reference(["from", "to", "weight"], rows)
 
     @given(st.integers(0, 10_000), st.lists(AWKWARD_KEYS, min_size=1, max_size=12, unique=True))
     def test_array_matches_a_per_row_reference(self, seed, keys):
