@@ -5,135 +5,50 @@ weighted mappings that redistribute key-indexed aggregate statistics
 between classification standards without creating or destroying any of
 the total.  Weights and masses are exact rationals throughout, so every
 conservation claim is checkable with plain equality.
+
+Importing the package loads no submodule: each exported name is bound on
+first use, from the module ``_EXPORTS`` lists it under (PEP 562).
 """
 
-from .algebra import (
-    CompositionError,
-    MatrixEncoding,
-    compose,
-    matvec_dense,
-    reverse,
-    to_matrix,
-)
-from .core import (
-    Crossmap,
-    CrossmapError,
-    Edge,
-    EdgeListDraft,
-    Finding,
-    InvalidCrossmapError,
-    MassArray,
-    ValidationReport,
-    ValueTooLongError,
-    build_crossmap,
-    identity_crossmap,
-    parse_rational,
-    render_rational,
-    validate_draft,
-)
-from .extraction import (
-    BlackboxTransform,
-    ExternalCommandTransform,
-    ExtractionResult,
-    InProcessTransform,
-    ProbeError,
-    probe_blackbox,
-    rationalize,
-)
-from .formats import (
-    ParseError,
-    export_dot,
-    import_crosswalk,
-    read_array,
-    read_crosswalk,
-    read_edge_list,
-    to_json,
-    write_array,
-    write_crosswalk,
-    write_edge_list,
-)
-from .graph import (
-    Component,
-    CrossmapSummary,
-    ImputationMetrics,
-    components,
-    imputation_metrics,
-    summarize,
-)
-from .transform import (
-    CoverageError,
-    MissingValueError,
-    NegativeMassError,
-    TransformOptions,
-    TransformReceipt,
-    append_keys,
-    apply_sequence,
-    apply_transform,
-    drop_keys,
-)
-from .validation import (
-    CoverageReport,
-    check_array,
-    check_coverage,
-    check_mass_preserving,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlackboxTransform",
-    "Component",
-    "CompositionError",
-    "CoverageError",
-    "CoverageReport",
-    "Crossmap",
-    "CrossmapError",
-    "CrossmapSummary",
-    "Edge",
-    "EdgeListDraft",
-    "ExternalCommandTransform",
-    "ExtractionResult",
-    "Finding",
-    "InvalidCrossmapError",
-    "ImputationMetrics",
-    "InProcessTransform",
-    "MassArray",
-    "MatrixEncoding",
-    "MissingValueError",
-    "NegativeMassError",
-    "ParseError",
-    "ProbeError",
-    "TransformOptions",
-    "TransformReceipt",
-    "ValidationReport",
-    "ValueTooLongError",
-    "append_keys",
-    "apply_sequence",
-    "apply_transform",
-    "build_crossmap",
-    "check_array",
-    "check_coverage",
-    "check_mass_preserving",
-    "components",
-    "compose",
-    "export_dot",
-    "identity_crossmap",
-    "import_crosswalk",
-    "imputation_metrics",
-    "matvec_dense",
-    "parse_rational",
-    "probe_blackbox",
-    "rationalize",
-    "read_array",
-    "read_crosswalk",
-    "read_edge_list",
-    "render_rational",
-    "reverse",
-    "summarize",
-    "to_json",
-    "to_matrix",
-    "validate_draft",
-    "write_array",
-    "write_crosswalk",
-    "write_edge_list",
-]
+_EXPORTS = {
+    "algebra": ("CompositionError", "MatrixEncoding", "compose", "matvec_dense", "reverse", "to_matrix"),
+    "core": (
+        "Crossmap", "CrossmapError", "Edge", "EdgeListDraft", "Finding", "InvalidCrossmapError", "MassArray",
+        "ProbeError", "ValidationReport", "ValueTooLongError", "build_crossmap", "identity_crossmap",
+        "parse_rational", "render_rational", "validate_draft",
+    ),
+    "extraction": (
+        "BlackboxTransform", "ExternalCommandTransform", "ExtractionResult", "InProcessTransform", "probe_blackbox",
+        "rationalize",
+    ),
+    "formats": (
+        "ParseError", "export_dot", "import_crosswalk", "read_array", "read_crosswalk", "read_edge_list", "to_json",
+        "write_array", "write_crosswalk", "write_edge_list",
+    ),
+    "graph": ("Component", "CrossmapSummary", "ImputationMetrics", "components", "imputation_metrics", "summarize"),
+    "transform": (
+        "CoverageError", "MissingValueError", "NegativeMassError", "TransformOptions", "TransformReceipt",
+        "append_keys", "apply_sequence", "apply_transform", "drop_keys",
+    ),
+    "validation": ("CoverageReport", "check_array", "check_coverage", "check_mass_preserving"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _MODULE_OF.keys())

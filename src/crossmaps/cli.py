@@ -11,28 +11,26 @@ only in the opt-in provenance footer.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import io
 import json
 import os
 import shlex
 import sys
-from datetime import datetime, timezone
 from fractions import Fraction
 from pathlib import Path
 
-from .algebra import compose, reverse
+# Every command reads through formats; each handler imports the rest of the
+# library it runs, so a command loads no module it does not use.
 from .core import (
     Crossmap,
     CrossmapError,
     InvalidCrossmapError,
-    MassArray,
+    ProbeError,
     ValidationReport,
     build_crossmap,
     render_rational,
     validate_draft,
 )
-from .extraction import ExternalCommandTransform, ProbeError, probe_blackbox
 from .formats import (
     export_dot,
     import_crosswalk,
@@ -41,12 +39,6 @@ from .formats import (
     to_json,
     write_array,
     write_edge_list,
-)
-from .graph import components, imputation_metrics, summarize
-from .transform import (
-    TransformOptions,
-    TransformReceipt,
-    apply_transform,
 )
 
 __all__ = ["main"]
@@ -71,6 +63,8 @@ def _source(args: argparse.Namespace, path: str):
         return sys.stdin
     data = Path(path).read_bytes()
     if getattr(args, "provenance", None):
+        import hashlib
+
         args.inputs[path] = "sha256:" + hashlib.sha256(data).hexdigest()
     stream = io.StringIO(data.decode("utf-8"), newline=None)
     stream.name = path
@@ -94,8 +88,11 @@ def _emit(args: argparse.Namespace, text: str, extra: dict, trailer: str = "") -
             partial.write_text(text, encoding="utf-8")
             _provenance_record(args, extra)
             os.replace(partial, target)
-        except BaseException:
+        except BaseException as exc:
             partial.unlink(missing_ok=True)
+            if isinstance(exc, OSError) and exc.filename == str(partial):
+                # Name the path the user gave, not the private temporary file.
+                raise OSError(exc.errno, exc.strerror, args.out) from exc
             raise
     sys.stderr.write(trailer)
 
@@ -113,8 +110,7 @@ def _report_lines(report: ValidationReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _receipt_lines(receipt: TransformReceipt) -> str:
-    d = receipt.to_json_dict()
+def _receipt_lines(d: dict) -> str:
     width = max(len(k) for k in d)
     return "".join(f"{k.ljust(width)}  {v}\n" for k, v in d.items())
 
@@ -122,6 +118,8 @@ def _receipt_lines(receipt: TransformReceipt) -> str:
 def _provenance_record(args: argparse.Namespace, extra: dict) -> None:
     if not args.provenance:
         return
+    from datetime import datetime, timezone
+
     record = {
         "command": args.command,
         "inputs": args.inputs,
@@ -146,6 +144,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_apply(args: argparse.Namespace) -> int:
+    from .transform import TransformOptions, apply_transform
+
     crossmap = _load_crossmap(args, args.map)
     array = read_array(_source(args, args.data))
     options = TransformOptions(
@@ -153,12 +153,15 @@ def _cmd_apply(args: argparse.Namespace) -> int:
         on_uncovered="drop_and_report" if args.drop_uncovered else "error",
     )
     output, receipt = apply_transform(crossmap, array, options)
-    trailer = to_json(receipt) if args.json else _receipt_lines(receipt)
-    _emit(args, write_array(output), {"receipt": receipt.to_json_dict()}, trailer)
+    document = receipt.to_json_dict()
+    trailer = to_json(document) if args.json else _receipt_lines(document)
+    _emit(args, write_array(output), {"receipt": document}, trailer)
     return EXIT_OK
 
 
 def _cmd_compose(args: argparse.Namespace) -> int:
+    from .algebra import compose
+
     maps = [_load_crossmap(args, path) for path in args.edges]
     combined = maps[0]
     for nxt in maps[1:]:
@@ -168,6 +171,8 @@ def _cmd_compose(args: argparse.Namespace) -> int:
 
 
 def _cmd_reverse(args: argparse.Namespace) -> int:
+    from .algebra import reverse
+
     crossmap = _load_crossmap(args, args.edges)
     result = reverse(crossmap)
     if isinstance(result, ValidationReport):
@@ -177,6 +182,8 @@ def _cmd_reverse(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from .graph import components
+
     crossmap = _load_crossmap(args, args.edges)
     found = components(crossmap)
     if args.json:
@@ -191,19 +198,18 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _summary_table(crossmap: Crossmap) -> str:
-    summary = summarize(crossmap)
+def _summary_table(summary: dict) -> str:
     rows = []
-    for row in summary.target_rows:
-        keys = ",".join(row.incoming_keys[:SUMMARY_KEY_DISPLAY_LIMIT])
-        if row.incoming_count > SUMMARY_KEY_DISPLAY_LIMIT:
+    for row in summary["targets"]:
+        keys = ",".join(row["incoming_keys"][:SUMMARY_KEY_DISPLAY_LIMIT])
+        if row["incoming_count"] > SUMMARY_KEY_DISPLAY_LIMIT:
             keys += ",..."
-        rows.append((row.target, str(row.incoming_count), keys))
+        rows.append((row["target"], str(row["incoming_count"]), keys))
     target_width = max(len("target"), *(len(r[0]) for r in rows))
     count_width = max(len("incoming"), *(len(r[1]) for r in rows))
     lines = [f"{'target'.ljust(target_width)}  {'incoming'.rjust(count_width)}  incoming keys"]
     lines += [f"{t.ljust(target_width)}  {c.rjust(count_width)}  {k}" for t, c, k in rows]
-    totals = summary.to_json_dict()["totals"]
+    totals = summary["totals"]
     lines.append(
         f"edges: {totals['edges']}  sources: {totals['sources']}  targets: {totals['targets']}  "
         + " ".join(f"{k}={v}" for k, v in totals["component_types"].items())
@@ -211,9 +217,7 @@ def _summary_table(crossmap: Crossmap) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _metrics_lines(crossmap: Crossmap, array: MassArray | None) -> str:
-    metrics = imputation_metrics(crossmap, array)
-    d = metrics.to_json_dict()
+def _metrics_lines(d: dict) -> str:
     lines = [
         "fractional edges: %d" % d["fractional_edge_count"],
         "split sources: %d (potential split share %s)"
@@ -225,20 +229,24 @@ def _metrics_lines(crossmap: Crossmap, array: MassArray | None) -> str:
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
+    from .graph import imputation_metrics, summarize
+
     crossmap = _load_crossmap(args, args.edges)
     array = read_array(_source(args, args.data)) if args.data else None
+    # Metrics first: they refuse a bad array before any stdout is written.
+    imputation = imputation_metrics(crossmap, array).to_json_dict()
+    payload = summarize(crossmap).to_json_dict()
     if args.json:
-        payload = summarize(crossmap).to_json_dict()
-        payload["imputation"] = imputation_metrics(crossmap, array).to_json_dict()
+        payload["imputation"] = imputation
         sys.stdout.write(to_json(payload))
     else:
-        # Metrics first: they refuse a bad array before any stdout is written.
-        metrics = _metrics_lines(crossmap, array)
-        sys.stdout.write(_summary_table(crossmap) + metrics)
+        sys.stdout.write(_summary_table(payload) + _metrics_lines(imputation))
     return EXIT_OK
 
 
 def _cmd_extract(args: argparse.Namespace) -> int:
+    from .extraction import ExternalCommandTransform, probe_blackbox
+
     _, exp_mark, exponent = args.tolerance.lower().partition("e")
     try:
         # Fraction expands a decimal exponent into an exact integer, so a huge one is refused

@@ -31,6 +31,7 @@ __all__ = [
     "Finding",
     "InvalidCrossmapError",
     "MassArray",
+    "ProbeError",
     "Severity",
     "ValidationReport",
     "ValueTooLongError",
@@ -83,6 +84,12 @@ class ValueTooLongError(CrossmapError, ValueError):
     """An exact value with too many digits to render as text."""
 
     error = "too_long"
+
+
+class ProbeError(CrossmapError):
+    """A probe failed: process error, unparsable output, or nondeterminism."""
+
+    error = "probe"
 
 
 def parse_rational(text: str) -> Fraction:

@@ -23,10 +23,10 @@ from typing import Callable, Sequence
 
 from .core import (
     Crossmap,
-    CrossmapError,
     Edge,
     MassArray,
     ONE,
+    ProbeError,
     ZERO,
     _exact_total,
     clean_key,
@@ -43,12 +43,6 @@ __all__ = [
     "probe_blackbox",
     "rationalize",
 ]
-
-
-class ProbeError(CrossmapError):
-    """A probe failed: process error, unparsable output, or nondeterminism."""
-
-    error = "probe"
 
 
 @dataclass(frozen=True)

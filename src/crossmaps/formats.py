@@ -32,7 +32,6 @@ from .core import (
     parse_rational,
     render_rational,
 )
-from .graph import components
 
 __all__ = [
     "ParseError",
@@ -305,6 +304,8 @@ def export_dot(crossmap: Crossmap) -> str:
     are dashed and labelled with their exact weight; unit edges are plain.
     The output is a pure function of the canonical crossmap.
     """
+    from .graph import components
+
     lines = [
         "digraph crossmap {",
         "  rankdir=LR;",

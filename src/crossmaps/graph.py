@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Literal
 
 from .core import Crossmap, Edge, MassArray, ONE, ZERO, render_rational
-from .transform import TransformOptions, _require_clean, _split_totals
 
 __all__ = [
     "Component",
@@ -227,6 +226,8 @@ def imputation_metrics(crossmap: Crossmap, array: MassArray | None = None) -> Im
     )
     if array is None:
         return metrics
+    from .transform import TransformOptions, _require_clean, _split_totals
+
     _require_clean(crossmap, array, TransformOptions())
     total, entering = _split_totals(crossmap, array)
     realized = ZERO if total == ZERO else entering / total

@@ -32,6 +32,7 @@ from .validation import CoverageReport, check_array, check_coverage
 __all__ = [
     "CoverageError",
     "MissingValueError",
+    "NegativeMassError",
     "TransformOptions",
     "TransformReceipt",
     "append_keys",

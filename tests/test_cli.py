@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import io
 import json
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import crossmaps
-from crossmaps import cli
+from crossmaps import algebra, cli, extraction, transform
 from crossmaps.algebra import CompositionError
 from crossmaps.cli import MAX_JOBS, main
 from crossmaps.core import (
@@ -371,7 +372,7 @@ class TestExtract:
     def test_empty_keys_file_is_usage_error(self, tmp_path, capsys, monkeypatch):
         keys = tmp_path / "keys.txt"
         keys.write_text("\n  \n", encoding="utf-8")
-        monkeypatch.setattr(cli, "probe_blackbox", lambda *a, **k: pytest.fail("probed with no keys"))
+        monkeypatch.setattr(extraction, "probe_blackbox", lambda *a, **k: pytest.fail("probed with no keys"))
         code = main(["extract", "--cmd", "true", "--keys", str(keys), "--out", str(tmp_path / "x.csv")])
         assert code == 2
         captured = capsys.readouterr()
@@ -498,7 +499,7 @@ class TestExitCodes:
         def must_not_probe(*args, **kwargs):
             raise AssertionError("probe_blackbox was called")
 
-        monkeypatch.setattr(cli, "probe_blackbox", must_not_probe)
+        monkeypatch.setattr(extraction, "probe_blackbox", must_not_probe)
         keys = tmp_path / "keys.txt"
         keys.write_text("a\n", encoding="utf-8")
         argv = [
@@ -518,7 +519,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["", "   ", "'abc"], ids=["empty", "blank", "open_quote"])
     def test_unsplittable_command_is_usage_error(self, command, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "probe_blackbox", lambda *a, **k: pytest.fail("probed without a command"))
+        monkeypatch.setattr(extraction, "probe_blackbox", lambda *a, **k: pytest.fail("probed without a command"))
         keys = tmp_path / "keys.txt"
         keys.write_text("a\n", encoding="utf-8")
         out = tmp_path / "x.csv"
@@ -562,7 +563,7 @@ class TestOneReaderOneWriter:
             Path(country_file).write_text(COUNTRY_CSV.replace("AUS,AUS", "AUS,AUT"), encoding="utf-8")
             return apply_transform(*args)
 
-        monkeypatch.setattr(cli, "apply_transform", rewrite_then_apply)
+        monkeypatch.setattr(transform, "apply_transform", rewrite_then_apply)
         ledger = tmp_path / "p.jsonl"
         assert main(["apply", "--map", country_file, "--data", obs_file, "--provenance", str(ledger)]) == 0
         assert capsys.readouterr().out.startswith("key,value\nAUS,140\n")
@@ -608,6 +609,15 @@ class TestOneReaderOneWriter:
         }
         assert capsys.readouterr().out  # no --out: the result goes to stdout
 
+    def test_missing_out_directory_names_the_out_path(self, country_file, tmp_path, capsys):
+        out = tmp_path / "sub" / "o.csv"
+        assert main(["export-dot", country_file, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        missing = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(out))
+        assert json.loads(captured.err) == {"error": "io", "message": str(missing)}
+        assert not out.parent.exists()
+
 
 def _write_inputs(root: Path, files: dict[str, bytes]) -> None:
     for name, data in files.items():
@@ -634,7 +644,7 @@ class TestFailureDocuments:
         }
         exported = {
             obj
-            for obj in map(crossmaps.__dict__.get, crossmaps.__all__)
+            for obj in (getattr(crossmaps, name) for name in crossmaps.__all__)
             if isinstance(obj, type) and issubclass(obj, CrossmapError) and obj is not CrossmapError
         }
         assert exported == set(samples)
@@ -648,7 +658,7 @@ class TestFailureDocuments:
         def refuse(first, second):
             raise InvalidCrossmapError(report)
 
-        monkeypatch.setattr(cli, "compose", refuse)
+        monkeypatch.setattr(algebra, "compose", refuse)
         out = tmp_path / "x.csv"
         assert main(["compose", country_file, country_file, "--out", str(out)]) == 1
         captured = capsys.readouterr()
@@ -703,7 +713,7 @@ class TestFailureDocuments:
             return Fraction(*args)
 
         monkeypatch.setattr(cli, "Fraction", spy)
-        monkeypatch.setattr(cli, "probe_blackbox", lambda *a, **k: pytest.fail("probed"))
+        monkeypatch.setattr(extraction, "probe_blackbox", lambda *a, **k: pytest.fail("probed"))
         keys = tmp_path / "keys.txt"
         keys.write_text("a\n", encoding="utf-8")
         out = tmp_path / "o.csv"
