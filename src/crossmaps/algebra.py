@@ -8,7 +8,6 @@ against an independent dense matrix-vector product with exact equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -19,6 +18,7 @@ from .core import (
     InvalidCrossmapError,
     ValidationReport,
     ZERO,
+    _Record,
     _exact_sums,
     render_rational,
 )
@@ -47,17 +47,21 @@ class CompositionError(CrossmapError):
         return {"error": "composition", "unmatched_keys": list(self.unmatched)}
 
 
-@dataclass(frozen=True)
-class MatrixEncoding:
+class MatrixEncoding(_Record):
     """Row-stochastic dense grid: rows are sources, columns targets.
 
     Cell (j, k) holds the edge weight from row key j to column key k, or 0
     where no edge exists.  Every row sums to exactly 1.
     """
 
-    row_keys: tuple[str, ...]
-    col_keys: tuple[str, ...]
-    cells: tuple[tuple[Fraction, ...], ...]
+    __slots__ = _fields = ("row_keys", "col_keys", "cells")
+
+    def __init__(
+        self, row_keys: tuple[str, ...], col_keys: tuple[str, ...], cells: tuple[tuple[Fraction, ...], ...]
+    ) -> None:
+        object.__setattr__(self, "row_keys", row_keys)
+        object.__setattr__(self, "col_keys", col_keys)
+        object.__setattr__(self, "cells", cells)
 
     def row_sums(self) -> tuple[Fraction, ...]:
         """The product with the all-ones vector; all ones for a valid crossmap."""

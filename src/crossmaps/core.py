@@ -8,13 +8,15 @@ masses are rationals, never floats, so "sums to 1" and "totals are equal"
 are plain equalities rather than tolerance checks.
 
 All types are immutable after construction and safe to share across
-threads.
+threads.  The value types are plain slotted classes on one private base,
+``_Record``, so loading a module generates no method and loads no
+``inspect``, which every command-line run would pay for.  To change a
+field, call the constructor with the new value.
 """
 
 from __future__ import annotations
 
 from collections.abc import ItemsView, Iterable, Iterator, Mapping, ValuesView
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import groupby
@@ -49,6 +51,47 @@ ZERO = Fraction(0)
 Severity = Literal["error", "warning"]
 
 K = TypeVar("K", bound=Hashable)
+
+
+class _Record:
+    """Field-wise equality, hash, repr and ``__match_args__``; assignment and deletion raise ``AttributeError``.
+
+    Each subclass declares ``__slots__ = _fields = (...)`` and an ``__init__``
+    taking those fields in order, which sets them with ``object.__setattr__``.
+    Only instances of one class compare equal.  Pickling and copying call the
+    class on the field values, so the constructor's checks run again.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.__match_args__ = cls._fields
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({inner})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
 
 class CrossmapError(Exception):
@@ -208,8 +251,7 @@ def _check_weight_type(weight: Fraction) -> Fraction:
     return weight
 
 
-@dataclass(frozen=True, slots=True)
-class Edge:
+class Edge(_Record):
     """One weighted link: ``source`` distributes ``weight`` of its value to ``target``.
 
     The weight range (0, 1] is deliberately not enforced here: drafts may
@@ -217,14 +259,12 @@ class Edge:
     of construction refusing to represent them.
     """
 
-    source: str
-    target: str
-    weight: Fraction
+    __slots__ = _fields = ("source", "target", "weight")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "source", clean_key(self.source))
-        object.__setattr__(self, "target", clean_key(self.target))
-        object.__setattr__(self, "weight", _check_weight_type(self.weight))
+    def __init__(self, source: str, target: str, weight: Fraction) -> None:
+        _set_source(self, clean_key(source))
+        _set_target(self, clean_key(target))
+        _set_weight(self, _check_weight_type(weight))
 
     @classmethod
     def _from_clean(cls, source: str, target: str, weight: Fraction) -> Edge:
@@ -237,7 +277,7 @@ class Edge:
         return edge
 
 
-# The slot descriptors' own setters: frozen=True blocks plain assignment, and
+# The slot descriptors' own setters: _Record blocks plain assignment, and
 # these skip the generic object.__setattr__ lookup on the hot trusted path.
 _set_source, _set_target, _set_weight = (Edge.__dict__[name].__set__ for name in ("source", "target", "weight"))
 
@@ -245,25 +285,28 @@ _EDGE_ORDER = attrgetter("source", "target")
 _EDGE_SOURCE = attrgetter("source")
 
 
-@dataclass(frozen=True)
-class EdgeListDraft:
+class EdgeListDraft(_Record):
     """Unvalidated edge list, the staging form for crossmap construction."""
 
-    edges: tuple[Edge, ...]
+    __slots__ = _fields = ("edges",)
 
     def __init__(self, edges: Iterable[Edge]) -> None:
         object.__setattr__(self, "edges", tuple(edges))
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(_Record):
     """One validation observation; ``value`` carries the offending exact sum or weight."""
 
-    severity: Severity
-    code: str
-    subject: str
-    message: str
-    value: Fraction | None = None
+    __slots__ = _fields = ("severity", "code", "subject", "message", "value")
+
+    def __init__(
+        self, severity: Severity, code: str, subject: str, message: str, value: Fraction | None = None
+    ) -> None:
+        object.__setattr__(self, "severity", severity)
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "subject", subject)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "value", value)
 
     def to_json_dict(self) -> dict:
         return {
@@ -275,11 +318,13 @@ class Finding:
         }
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(_Record):
     """Outcome of checking a draft or derived structure; ok iff no error findings."""
 
-    findings: tuple[Finding, ...]
+    __slots__ = _fields = ("findings",)
+
+    def __init__(self, findings: tuple[Finding, ...]) -> None:
+        object.__setattr__(self, "findings", findings)
 
     @property
     def ok(self) -> bool:
@@ -297,8 +342,7 @@ class ValidationReport:
         return {"ok": self.ok, "findings": [f.to_json_dict() for f in self.findings]}
 
 
-@dataclass(frozen=True)
-class Crossmap:
+class Crossmap(_Record):
     """Validated mass-preserving mapping between two key sets.
 
     Edges are canonically sorted by (source, target); ``sources`` and
@@ -306,7 +350,9 @@ class Crossmap:
     Two crossmaps built from the same edges in any order compare equal.
     """
 
-    edges: tuple[Edge, ...]
+    # The instance dict holds only the cached views.
+    _fields = ("edges",)
+    __slots__ = ("edges", "__dict__")
 
     def __init__(self, edges: Iterable[Edge]) -> None:
         object.__setattr__(self, "edges", tuple(sorted(edges, key=_EDGE_ORDER)))
@@ -360,7 +406,12 @@ class MassArray(Mapping):
     serialise identically regardless of input order.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = _fields = ("_entries",)
+    # A record's pickling, copying and immutability; equality stays the Mapping's.
+    _values = _Record._values
+    __reduce__ = _Record.__reduce__
+    __setattr__ = _Record.__setattr__
+    __delattr__ = _Record.__delattr__
 
     def __init__(self, entries: Mapping[str, Fraction | int | None] | Iterable[tuple[str, Fraction | int | None]]):
         items = entries.items() if isinstance(entries, Mapping) else entries
@@ -379,9 +430,6 @@ class MassArray(Mapping):
         array = cls.__new__(cls)
         object.__setattr__(array, "_entries", dict(sorted(entries.items())))
         return array
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("MassArray is immutable")
 
     def __getitem__(self, key: str) -> Fraction | None:
         return self._entries[key]

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import io
 import subprocess
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -28,6 +26,7 @@ from .core import (
     ONE,
     ProbeError,
     ZERO,
+    _Record,
     _exact_total,
     clean_key,
     render_rational,
@@ -45,25 +44,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class InProcessTransform:
+class InProcessTransform(_Record):
     """Probe target wrapping a direct array -> array function."""
 
-    fn: Callable[[MassArray], MassArray]
+    __slots__ = _fields = ("fn",)
+
+    def __init__(self, fn: Callable[[MassArray], MassArray]) -> None:
+        object.__setattr__(self, "fn", fn)
 
     def run(self, array: MassArray) -> MassArray:
         return self.fn(array)
 
 
-@dataclass(frozen=True)
-class ExternalCommandTransform:
+class ExternalCommandTransform(_Record):
     """Probe target launching a command once per probe.
 
     Protocol: the command reads an array CSV on standard input and writes
     one to standard output; a nonzero exit status is a probe failure.
     """
 
-    argv: tuple[str, ...]
+    __slots__ = _fields = ("argv",)
 
     def __init__(self, argv: Sequence[str]):
         words = tuple(argv)
@@ -95,8 +95,7 @@ class ExternalCommandTransform:
 BlackboxTransform = InProcessTransform | ExternalCommandTransform
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
+class ExtractionResult(_Record):
     """Everything a probe session learned.
 
     ``crossmap`` is present only when every probed source conformed: all
@@ -105,11 +104,21 @@ class ExtractionResult:
     total, and ``raw_weights`` keeps the untouched outputs for diagnosis.
     """
 
-    crossmap: Crossmap | None
-    raw_weights: dict[str, MassArray]
-    nonconforming_sources: tuple[tuple[str, Fraction], ...]
-    tolerance_used: Fraction
-    rationalized: bool
+    __slots__ = _fields = ("crossmap", "raw_weights", "nonconforming_sources", "tolerance_used", "rationalized")
+
+    def __init__(
+        self,
+        crossmap: Crossmap | None,
+        raw_weights: dict[str, MassArray],
+        nonconforming_sources: tuple[tuple[str, Fraction], ...],
+        tolerance_used: Fraction,
+        rationalized: bool,
+    ) -> None:
+        object.__setattr__(self, "crossmap", crossmap)
+        object.__setattr__(self, "raw_weights", raw_weights)
+        object.__setattr__(self, "nonconforming_sources", nonconforming_sources)
+        object.__setattr__(self, "tolerance_used", tolerance_used)
+        object.__setattr__(self, "rationalized", rationalized)
 
     def to_json_dict(self) -> dict:
         return {
@@ -179,6 +188,9 @@ def probe_blackbox(
     rest = keys[1:]
     if rest:
         if jobs > 1:
+            # Imported here: concurrent.futures loads logging, traceback and tokenize.
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=jobs) as pool:
                 for key, out in zip(rest, pool.map(probe, rest)):
                     outputs[key] = out

@@ -148,7 +148,18 @@ def write_edge_list(crossmap: Crossmap) -> str:
     buffer = io.StringIO()
     writer = _csv_writer(buffer)
     writer.writerow(EDGE_HEADER)
-    writer.writerows((e.source, e.target, render_rational(e.weight)) for e in crossmap.edges)
+    # Real maps repeat a few weights, so each distinct one is rendered once.
+    # Keyed by the integer pair: hashing the Fraction itself costs more than
+    # rendering it.
+    rendered: dict[tuple[int, int], str] = {}
+    rows = []
+    for e in crossmap.edges:
+        pair = e.weight.as_integer_ratio()
+        text = rendered.get(pair)
+        if text is None:
+            text = rendered[pair] = render_rational(e.weight)
+        rows.append((e.source, e.target, text))
+    writer.writerows(rows)
     return buffer.getvalue()
 
 

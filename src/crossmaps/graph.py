@@ -16,11 +16,10 @@ nodes without any extra bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Literal
 
-from .core import Crossmap, Edge, MassArray, ONE, ZERO, render_rational
+from .core import Crossmap, Edge, MassArray, ONE, ZERO, _Record, render_rational
 
 __all__ = [
     "Component",
@@ -43,14 +42,18 @@ RELATION_TYPES: tuple[RelationType, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(_Record):
     """One maximal weakly-connected subgraph of the crossmap."""
 
-    sources: tuple[str, ...]
-    targets: tuple[str, ...]
-    edges: tuple[Edge, ...]
-    relation_type: RelationType
+    __slots__ = _fields = ("sources", "targets", "edges", "relation_type")
+
+    def __init__(
+        self, sources: tuple[str, ...], targets: tuple[str, ...], edges: tuple[Edge, ...], relation_type: RelationType
+    ) -> None:
+        object.__setattr__(self, "sources", sources)
+        object.__setattr__(self, "targets", targets)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "relation_type", relation_type)
 
     def to_json_dict(self) -> dict:
         return {
@@ -126,22 +129,33 @@ def _type_counts(crossmap: Crossmap) -> dict[RelationType, int]:
     return counts
 
 
-@dataclass(frozen=True)
-class TargetSummary:
-    target: str
-    incoming_count: int
-    incoming_keys: tuple[str, ...]
+class TargetSummary(_Record):
+    __slots__ = _fields = ("target", "incoming_count", "incoming_keys")
+
+    def __init__(self, target: str, incoming_count: int, incoming_keys: tuple[str, ...]) -> None:
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "incoming_count", incoming_count)
+        object.__setattr__(self, "incoming_keys", incoming_keys)
 
 
-@dataclass(frozen=True)
-class CrossmapSummary:
+class CrossmapSummary(_Record):
     """Per-target aggregation view plus whole-map totals."""
 
-    target_rows: tuple[TargetSummary, ...]
-    edge_count: int
-    source_count: int
-    target_count: int
-    component_type_counts: dict[RelationType, int]
+    __slots__ = _fields = ("target_rows", "edge_count", "source_count", "target_count", "component_type_counts")
+
+    def __init__(
+        self,
+        target_rows: tuple[TargetSummary, ...],
+        edge_count: int,
+        source_count: int,
+        target_count: int,
+        component_type_counts: dict[RelationType, int],
+    ) -> None:
+        object.__setattr__(self, "target_rows", target_rows)
+        object.__setattr__(self, "edge_count", edge_count)
+        object.__setattr__(self, "source_count", source_count)
+        object.__setattr__(self, "target_count", target_count)
+        object.__setattr__(self, "component_type_counts", component_type_counts)
 
     def to_json_dict(self) -> dict:
         return {
@@ -179,8 +193,7 @@ def summarize(crossmap: Crossmap) -> CrossmapSummary:
     )
 
 
-@dataclass(frozen=True)
-class ImputationMetrics:
+class ImputationMetrics(_Record):
     """How much a crossmap could alter values, and how much it actually would.
 
     ``potential_split_share`` is structural: the share of source keys whose
@@ -190,11 +203,27 @@ class ImputationMetrics:
     baseline.
     """
 
-    component_type_counts: dict[RelationType, int]
-    fractional_edge_count: int
-    split_source_count: int
-    potential_split_share: Fraction
-    realized_split_mass_share: Fraction | None = None
+    __slots__ = _fields = (
+        "component_type_counts",
+        "fractional_edge_count",
+        "split_source_count",
+        "potential_split_share",
+        "realized_split_mass_share",
+    )
+
+    def __init__(
+        self,
+        component_type_counts: dict[RelationType, int],
+        fractional_edge_count: int,
+        split_source_count: int,
+        potential_split_share: Fraction,
+        realized_split_mass_share: Fraction | None = None,
+    ) -> None:
+        object.__setattr__(self, "component_type_counts", component_type_counts)
+        object.__setattr__(self, "fractional_edge_count", fractional_edge_count)
+        object.__setattr__(self, "split_source_count", split_source_count)
+        object.__setattr__(self, "potential_split_share", potential_split_share)
+        object.__setattr__(self, "realized_split_mass_share", realized_split_mass_share)
 
     def to_json_dict(self) -> dict:
         return {
@@ -218,17 +247,17 @@ def imputation_metrics(crossmap: Crossmap, array: MassArray | None = None) -> Im
     realizes no splitting, so its share is 0.
     """
     split = crossmap.split_sources
-    metrics = ImputationMetrics(
+    realized = None
+    if array is not None:
+        from .transform import TransformOptions, _require_clean, _split_totals
+
+        _require_clean(crossmap, array, TransformOptions())
+        total, entering = _split_totals(crossmap, array)
+        realized = ZERO if total == ZERO else entering / total
+    return ImputationMetrics(
         component_type_counts=_type_counts(crossmap),
         fractional_edge_count=sum(1 for e in crossmap.edges if e.weight != ONE),
         split_source_count=len(split),
         potential_split_share=Fraction(len(split), len(crossmap.sources)),
+        realized_split_mass_share=realized,
     )
-    if array is None:
-        return metrics
-    from .transform import TransformOptions, _require_clean, _split_totals
-
-    _require_clean(crossmap, array, TransformOptions())
-    total, entering = _split_totals(crossmap, array)
-    realized = ZERO if total == ZERO else entering / total
-    return replace(metrics, realized_split_mass_share=realized)

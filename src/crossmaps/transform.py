@@ -13,7 +13,6 @@ redistributes mass, never creates or destroys it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Mapping, Sequence
 
@@ -22,6 +21,7 @@ from .core import (
     CrossmapError,
     MassArray,
     ZERO,
+    _Record,
     _exact_sums,
     _exact_total,
     clean_key,
@@ -90,8 +90,7 @@ class NegativeMassError(CrossmapError):
         return {"error": "negative_masses", "keys": list(self.keys)}
 
 
-@dataclass(frozen=True)
-class TransformOptions:
+class TransformOptions(_Record):
     """Behaviour switches; the defaults are the safe choices.
 
     ``emit_zero_targets`` keeps every target key in the output (with mass 0
@@ -101,22 +100,29 @@ class TransformOptions:
     an option.
     """
 
-    emit_zero_targets: bool = True
-    on_uncovered: Literal["error", "drop_and_report"] = "error"
+    __slots__ = _fields = ("emit_zero_targets", "on_uncovered")
+
+    def __init__(
+        self, emit_zero_targets: bool = True, on_uncovered: Literal["error", "drop_and_report"] = "error"
+    ) -> None:
+        object.__setattr__(self, "emit_zero_targets", emit_zero_targets)
+        object.__setattr__(self, "on_uncovered", on_uncovered)
 
 
-@dataclass(frozen=True)
-class TransformReceipt:
+class TransformReceipt(_Record):
     """Exact accounting for one transform: where every unit of mass went."""
 
-    input_total: Fraction
-    output_total: Fraction
-    dropped_mass: Fraction
-    split_mass: Fraction
+    __slots__ = _fields = ("input_total", "output_total", "dropped_mass", "split_mass")
 
-    def __post_init__(self) -> None:
-        if self.input_total != self.output_total + self.dropped_mass:
+    def __init__(
+        self, input_total: Fraction, output_total: Fraction, dropped_mass: Fraction, split_mass: Fraction
+    ) -> None:
+        if input_total != output_total + dropped_mass:
             raise ValueError("receipt does not balance: input_total != output_total + dropped_mass")
+        object.__setattr__(self, "input_total", input_total)
+        object.__setattr__(self, "output_total", output_total)
+        object.__setattr__(self, "dropped_mass", dropped_mass)
+        object.__setattr__(self, "split_mass", split_mass)
 
     def to_json_dict(self) -> dict:
         return {

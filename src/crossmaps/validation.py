@@ -9,7 +9,6 @@ statistically meaningless).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal
 
@@ -18,6 +17,7 @@ from .core import (
     Finding,
     MassArray,
     ZERO,
+    _Record,
     _exact_total,
     render_rational,
     validate_draft,
@@ -34,17 +34,19 @@ __all__ = [
 ArrayPolicy = Literal["allow_zero", "strict_positive"]
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(_Record):
     """Whether every array key has mapping instructions, and what is at stake if not.
 
     ``mass_at_risk`` is the exact total sitting on uncovered keys — the loss a
     naive inner-join transform would silently incur.
     """
 
-    conformable: bool
-    uncovered_keys: tuple[str, ...]
-    mass_at_risk: Fraction
+    __slots__ = _fields = ("conformable", "uncovered_keys", "mass_at_risk")
+
+    def __init__(self, conformable: bool, uncovered_keys: tuple[str, ...], mass_at_risk: Fraction) -> None:
+        object.__setattr__(self, "conformable", conformable)
+        object.__setattr__(self, "uncovered_keys", uncovered_keys)
+        object.__setattr__(self, "mass_at_risk", mass_at_risk)
 
     def to_json_dict(self) -> dict:
         return {

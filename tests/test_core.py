@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import random
 import re
@@ -179,8 +178,12 @@ class TestEdge:
     def test_trusted_edge_is_frozen_and_slotted(self):
         edge = Edge._from_clean("a", "b", HALF)
         for field in ("source", "target", "weight"):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+            value = getattr(edge, field)
+            with pytest.raises(AttributeError):
                 setattr(edge, field, "c")
+            with pytest.raises(AttributeError):
+                delattr(edge, field)
+            assert getattr(edge, field) is value
         assert not hasattr(edge, "__dict__")
         assert (edge.source, edge.target, edge.weight) == ("a", "b", HALF)
         assert edge == Edge("a", "b", HALF)

@@ -17,6 +17,9 @@ import crossmaps.extraction
 SRC = str(Path(crossmaps.__file__).resolve().parents[1])
 MAP_CSV = "from,to,weight\nBLX,BEL,1/2\nBLX,LUX,1/2\nAUS,AUS,1\n"
 DATA_CSV = "key,value\nBLX,10\nAUS,140\n"
+# A bijection from MAP_CSV's targets, so it both composes after it and reverses.
+NEXT_CSV = "from,to,weight\nAUS,A,1\nBEL,B,1\nLUX,L,1\n"
+XWALK_CSV = "from,to\nBLX,BEL\nAUS,AUS\n"
 # What the console script does, then the name of every loaded module, one a line, into argv[1].
 CLI = (
     "import sys\n"
@@ -36,6 +39,18 @@ UNUSED_BY_VALIDATE = (
     "hashlib",
     "datetime",
 )
+# `dataclasses` and what it loads (`tokenize` also comes with `logging`); no command needs any of them.
+CODE_GENERATION = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+COMMANDS = {
+    "validate": ("validate", "m.csv"),
+    "apply": ("apply", "--map", "m.csv", "--data", "d.csv"),
+    "compose": ("compose", "m.csv", "n.csv"),
+    "classify": ("classify", "m.csv"),
+    "summarize": ("summarize", "m.csv", "--data", "d.csv"),
+    "export-dot": ("export-dot", "m.csv"),
+    "reverse": ("reverse", "n.csv"),
+    "import-crosswalk": ("import-crosswalk", "x.csv"),
+}
 
 
 def _loaded(root: Path, code: str, *argv: str) -> set[str]:
@@ -45,6 +60,8 @@ def _loaded(root: Path, code: str, *argv: str) -> set[str]:
     """
     (root / "m.csv").write_text(MAP_CSV, encoding="utf-8")
     (root / "d.csv").write_text(DATA_CSV, encoding="utf-8")
+    (root / "n.csv").write_text(NEXT_CSV, encoding="utf-8")
+    (root / "x.csv").write_text(XWALK_CSV, encoding="utf-8")
     listing = root / "modules.txt"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code, str(listing), *argv],
@@ -73,6 +90,17 @@ class TestImportFootprint:
         assert not {"hashlib", "datetime"} & _loaded(tmp_path, CLI, "apply", "--map", "m.csv", "--data", "d.csv")
         loaded = _loaded(tmp_path, CLI, "apply", "--map", "m.csv", "--data", "d.csv", "--provenance", "p.jsonl")
         assert {"crossmaps.transform", "hashlib", "datetime"} <= loaded
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_command_loads_no_code_generation(self, tmp_path, command):
+        loaded = _loaded(tmp_path, CLI, *COMMANDS[command])
+        assert [m for m in CODE_GENERATION if m in loaded] == []
+
+    def test_star_import_loads_no_code_generation(self, tmp_path):
+        code = "import sys\nfrom crossmaps import *\nopen(sys.argv[1], 'w').write('\\n'.join(sorted(sys.modules)))\n"
+        loaded = _loaded(tmp_path, code)
+        assert {f"crossmaps.{module}" for module in crossmaps._EXPORTS} <= loaded
+        assert [m for m in CODE_GENERATION if m in loaded] == []
 
 
 class TestLazySurface:
