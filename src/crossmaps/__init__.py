@@ -8,28 +8,35 @@ conservation claim is checkable with plain equality.
 
 Importing the package loads no submodule: each exported name is bound on
 first use, from the module ``_EXPORTS`` lists it under (PEP 562).
+``_EXPORTS`` is the one list of public names: each submodule's ``__all__``
+is its entry.
 """
 
 from importlib import import_module
 
 __version__ = "0.1.0"
 
+# Submodules read their __all__ from here with `from . import _EXPORTS`, so this
+# table must stay above any import of a submodule.
 _EXPORTS = {
     "algebra": ("CompositionError", "MatrixEncoding", "compose", "matvec_dense", "reverse", "to_matrix"),
     "core": (
         "Crossmap", "CrossmapError", "Edge", "EdgeListDraft", "Finding", "InvalidCrossmapError", "MassArray",
-        "ProbeError", "ValidationReport", "ValueTooLongError", "build_crossmap", "identity_crossmap",
-        "parse_rational", "render_rational", "validate_draft",
+        "ProbeError", "Severity", "ValidationReport", "ValueTooLongError", "build_crossmap", "clean_key",
+        "identity_crossmap", "parse_rational", "render_rational", "validate_draft",
     ),
     "extraction": (
         "BlackboxTransform", "ExternalCommandTransform", "ExtractionResult", "InProcessTransform", "probe_blackbox",
         "rationalize",
     ),
     "formats": (
-        "ParseError", "export_dot", "import_crosswalk", "read_array", "read_crosswalk", "read_edge_list", "to_json",
-        "write_array", "write_crosswalk", "write_edge_list",
+        "ParseError", "SplitPolicy", "export_dot", "import_crosswalk", "read_array", "read_crosswalk",
+        "read_edge_list", "to_json", "write_array", "write_crosswalk", "write_edge_list",
     ),
-    "graph": ("Component", "CrossmapSummary", "ImputationMetrics", "components", "imputation_metrics", "summarize"),
+    "graph": (
+        "Component", "CrossmapSummary", "ImputationMetrics", "RelationType", "TargetSummary", "components",
+        "imputation_metrics", "summarize",
+    ),
     "transform": (
         "CoverageError", "MissingValueError", "NegativeMassError", "TransformOptions", "TransformReceipt",
         "append_keys", "apply_sequence", "apply_transform", "drop_keys",

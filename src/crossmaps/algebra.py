@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
+from . import _EXPORTS
 from .core import (
     Crossmap,
     CrossmapError,
@@ -23,14 +24,7 @@ from .core import (
     render_rational,
 )
 
-__all__ = [
-    "CompositionError",
-    "MatrixEncoding",
-    "compose",
-    "matvec_dense",
-    "reverse",
-    "to_matrix",
-]
+__all__ = _EXPORTS["algebra"]
 
 
 class CompositionError(CrossmapError):

@@ -32,6 +32,7 @@ from .core import (
     validate_draft,
 )
 from .formats import (
+    _read_text,
     export_dot,
     import_crosswalk,
     read_array,
@@ -83,7 +84,8 @@ def _emit(args: argparse.Namespace, text: str, extra: dict, trailer: str = "") -
         sys.stdout.write(text)
     else:
         target = Path(args.out)
-        partial = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        # Beside the target, even when the target has no name ('.', '/'): the rename then fails.
+        partial = target.parent / f".{target.name}.{os.getpid()}.tmp"
         try:
             partial.write_text(text, encoding="utf-8")
             _provenance_record(args, extra)
@@ -261,7 +263,8 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         message = f"--tolerance must be a non-negative number, got {args.tolerance!r}"
         sys.stderr.write(to_json({"error": "usage", "message": message}))
         return EXIT_USAGE
-    keys = [line.strip() for line in _source(args, args.keys).read().splitlines() if line.strip()]
+    _, text = _read_text(_source(args, args.keys))
+    keys = [line.strip() for line in text.splitlines() if line.strip()]
     if not keys:
         sys.stderr.write(to_json({"error": "usage", "message": f"--keys file {args.keys!r} holds no source keys"}))
         return EXIT_USAGE

@@ -25,25 +25,9 @@ from operator import attrgetter
 from sys import get_int_max_str_digits
 from typing import Hashable, Literal, TypeVar
 
-__all__ = [
-    "Crossmap",
-    "CrossmapError",
-    "Edge",
-    "EdgeListDraft",
-    "Finding",
-    "InvalidCrossmapError",
-    "MassArray",
-    "ProbeError",
-    "Severity",
-    "ValidationReport",
-    "ValueTooLongError",
-    "build_crossmap",
-    "clean_key",
-    "identity_crossmap",
-    "parse_rational",
-    "render_rational",
-    "validate_draft",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["core"]
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -223,18 +207,20 @@ def _exact_total(values: Iterable[Fraction]) -> Fraction:
 
 
 def clean_key(text: str) -> str:
-    """Strip surrounding whitespace and reject empty keys and keys holding ``\\r``.
+    """Strip surrounding whitespace and reject empty keys and keys holding ``\\r`` or NUL.
 
     Keys are otherwise opaque and compared by exact byte equality; any
-    normalisation beyond trimming is the caller's concern.  A carriage
-    return is refused because no CSV file can carry it back: text-mode
-    reading turns it into ``\\n``.
+    normalisation beyond trimming is the caller's concern.  Both characters
+    are refused because no CSV file can carry them back: text-mode reading
+    turns a carriage return into ``\\n``, and the readers refuse NUL.
     """
     key = text.strip()
     if not key:
         raise ValueError("key is empty after trimming whitespace")
     if "\r" in key:
         raise ValueError(f"key {key!r} contains a carriage return")
+    if "\x00" in key:
+        raise ValueError(f"key {key!r} contains NUL")
     return key
 
 

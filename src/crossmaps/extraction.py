@@ -15,7 +15,6 @@ probes and is the caller's judgement.
 from __future__ import annotations
 
 import io
-import subprocess
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -31,17 +30,9 @@ from .core import (
     clean_key,
     render_rational,
 )
-from . import formats
+from . import _EXPORTS, formats
 
-__all__ = [
-    "BlackboxTransform",
-    "ExternalCommandTransform",
-    "ExtractionResult",
-    "InProcessTransform",
-    "ProbeError",
-    "probe_blackbox",
-    "rationalize",
-]
+__all__ = _EXPORTS["extraction"]
 
 
 class InProcessTransform(_Record):
@@ -72,6 +63,8 @@ class ExternalCommandTransform(_Record):
         object.__setattr__(self, "argv", words)
 
     def run(self, array: MassArray) -> MassArray:
+        import subprocess  # here, not at module load: only this target spawns anything
+
         try:
             proc = subprocess.run(
                 self.argv,
@@ -154,12 +147,13 @@ def probe_blackbox(
 ) -> ExtractionResult:
     """Probe one identity array per source key and assemble the implied crossmap.
 
-    Output values with magnitude at most ``tolerance`` count as zero (no
-    edge).  With ``rationalize_max_denominator`` set, each surviving weight
-    snaps to the nearest rational under that denominator bound whenever the
-    snap moves it by at most ``tolerance``; weights are otherwise kept as
-    the exact base-10 values the transform produced, so no precision is
-    invented silently.  Probes run concurrently across ``jobs`` workers (an
+    Output values with magnitude at most ``tolerance`` (exact: a Fraction,
+    an int or decimal text) count as zero (no edge).  With
+    ``rationalize_max_denominator`` set, each surviving weight snaps to the
+    nearest rational under that denominator bound whenever the snap moves
+    it by at most ``tolerance``; weights are otherwise kept as the exact
+    base-10 values the transform produced, so no precision is invented
+    silently.  Probes run concurrently across ``jobs`` workers (an
     int, at least 1) after a serial determinism check on the first key; the
     session issues at most ``len(source_keys) + 1`` probes.
     """
@@ -170,6 +164,10 @@ def probe_blackbox(
     keys = tuple(dict.fromkeys(clean_key(k) for k in source_keys))
     if not keys:
         raise ValueError("need at least one source key to probe")
+    # Refused like float and bool weights: a float would be recorded as its
+    # binary double, and True would be read as 1.
+    if isinstance(tolerance, (float, bool)):
+        raise TypeError(f"tolerance must be Fraction, int or str, not {type(tolerance).__name__}")
     tol = Fraction(tolerance)
     if tol < ZERO:
         raise ValueError("tolerance must be non-negative")
@@ -204,16 +202,15 @@ def probe_blackbox(
     for key in keys:
         weights: dict[str, Fraction] = {}
         for target, value in outputs[key].items():
-            assert value is not None
             # Most outputs are exact zeros: skip them before any Fraction work.
             if not value or abs(value) <= tol:
                 continue
             if snap:
                 snapped = rationalize(value, rationalize_max_denominator)
+                # Within tol of a value more than tol from zero, so never zero itself.
                 if abs(snapped - value) <= tol:
                     value = snapped
-            if value != ZERO:
-                weights[target] = value
+            weights[target] = value
         total = _exact_total(weights.values())
         if total != ONE or any(not 0 < w.numerator <= w.denominator for w in weights.values()):
             nonconforming.append((key, total))

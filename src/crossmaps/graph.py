@@ -17,29 +17,16 @@ nodes without any extra bookkeeping.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Literal
+from typing import Literal, get_args
 
+from . import _EXPORTS
 from .core import Crossmap, Edge, MassArray, ONE, ZERO, _Record, render_rational
 
-__all__ = [
-    "Component",
-    "CrossmapSummary",
-    "ImputationMetrics",
-    "RelationType",
-    "TargetSummary",
-    "components",
-    "imputation_metrics",
-    "summarize",
-]
+__all__ = _EXPORTS["graph"]
 
 RelationType = Literal["one_to_one", "one_to_many", "many_to_one", "many_to_many"]
 
-RELATION_TYPES: tuple[RelationType, ...] = (
-    "one_to_one",
-    "one_to_many",
-    "many_to_one",
-    "many_to_many",
-)
+RELATION_TYPES: tuple[RelationType, ...] = get_args(RelationType)
 
 
 class Component(_Record):

@@ -16,6 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Literal, Mapping, Sequence
 
+from . import _EXPORTS
 from .core import (
     Crossmap,
     CrossmapError,
@@ -29,17 +30,7 @@ from .core import (
 )
 from .validation import CoverageReport, check_array, check_coverage
 
-__all__ = [
-    "CoverageError",
-    "MissingValueError",
-    "NegativeMassError",
-    "TransformOptions",
-    "TransformReceipt",
-    "append_keys",
-    "apply_sequence",
-    "apply_transform",
-    "drop_keys",
-]
+__all__ = _EXPORTS["transform"]
 
 
 class CoverageError(CrossmapError):

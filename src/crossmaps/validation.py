@@ -10,28 +10,11 @@ statistically meaningless).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Literal
 
-from .core import (
-    Crossmap,
-    Finding,
-    MassArray,
-    ZERO,
-    _Record,
-    _exact_total,
-    render_rational,
-    validate_draft,
-)
+from . import _EXPORTS
+from .core import Crossmap, Finding, MassArray, _Record, _exact_total, render_rational, validate_draft
 
-__all__ = [
-    "ArrayPolicy",
-    "CoverageReport",
-    "check_array",
-    "check_coverage",
-    "check_mass_preserving",
-]
-
-ArrayPolicy = Literal["allow_zero", "strict_positive"]
+__all__ = _EXPORTS["validation"]
 
 
 class CoverageReport(_Record):
@@ -74,14 +57,14 @@ def check_coverage(crossmap: Crossmap, array: MassArray) -> CoverageReport:
     return CoverageReport(conformable=not uncovered, uncovered_keys=uncovered, mass_at_risk=at_risk)
 
 
-def check_array(array: MassArray, policy: ArrayPolicy = "allow_zero") -> tuple[Finding, ...]:
-    """Flag missing, negative, and (under ``strict_positive``) zero masses.
+def check_array(array: MassArray) -> tuple[Finding, ...]:
+    """Flag missing and negative masses.
 
-    Each finding is an error whose ``code`` is ``missing_value``,
-    ``negative_value`` or ``nonpositive_value`` and whose ``subject`` is
-    the key.  Zeros are admitted by default: they are the sanctioned
-    explicit replacement for missing values, and rejecting them would push
-    users back toward leaving NAs in place.
+    Each finding is an error whose ``code`` is ``missing_value`` or
+    ``negative_value`` and whose ``subject`` is the key.  Zeros are
+    admitted: they are the sanctioned explicit replacement for missing
+    values, and rejecting them would push users back toward leaving NAs in
+    place.
     """
     findings: list[Finding] = []
     for key, value in array.items():
@@ -91,7 +74,4 @@ def check_array(array: MassArray, policy: ArrayPolicy = "allow_zero") -> tuple[F
         elif value.numerator < 0:
             message = f"{key!r} has negative mass {render_rational(value)}"
             findings.append(Finding("error", "negative_value", key, message, value))
-        elif policy == "strict_positive" and value == ZERO:
-            message = f"{key!r} has zero mass, rejected under the strict-positive policy"
-            findings.append(Finding("error", "nonpositive_value", key, message, value))
     return tuple(findings)

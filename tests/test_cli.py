@@ -401,6 +401,16 @@ class TestExtract:
         assert out.read_text(encoding="utf-8") == "from,to,weight\na,a,1\nb,b,1\n"
         assert json.loads(record.read_text(encoding="utf-8"))["inputs"] == {}
 
+    def test_nul_in_keys_file_is_parse_error(self, tmp_path, capsys, monkeypatch):
+        keys = tmp_path / "keys.txt"
+        keys.write_bytes(b"a\nb\x00c\n")
+        monkeypatch.setattr(extraction, "probe_blackbox", lambda *a, **k: pytest.fail("probed"))
+        assert main(["extract", "--cmd", "cat", "--keys", str(keys), "--out", str(tmp_path / "x.csv")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["problems"] == [{"line": 2, "message": "line contains NUL"}]
+        assert not (tmp_path / "x.csv").exists()
+
     def test_probe_failure_exits_three(self, tmp_path, capsys):
         keys = tmp_path / "keys.txt"
         keys.write_text("a\n", encoding="utf-8")
@@ -618,6 +628,18 @@ class TestOneReaderOneWriter:
         assert json.loads(captured.err) == {"error": "io", "message": str(missing)}
         assert not out.parent.exists()
 
+    @pytest.mark.parametrize("out", ["", "."], ids=["empty", "dot"])
+    def test_out_without_a_file_name_is_one_io_document(self, out, country_file, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        assert main(["export-dot", country_file, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        document = json.loads(captured.err)
+        assert document["error"] == "io"
+        assert document["message"].endswith(repr(out))
+        assert sorted(tmp_path.iterdir()) == before
+
 
 def _write_inputs(root: Path, files: dict[str, bytes]) -> None:
     for name, data in files.items():
@@ -749,7 +771,7 @@ RAW_BYTES = (
 )
 FILE_BYTES = st.one_of(CSV_BYTES, RAW_BYTES)
 INPUT = st.sampled_from(["m.csv", "n.csv", "d.csv", "missing.csv", "-"])
-OUT = st.sampled_from([[], ["--out", "-"], ["--out", "o.csv"], ["--out", "sub/o.csv"]])
+OUT = st.sampled_from([[], ["--out", "-"], ["--out", "o.csv"], ["--out", "sub/o.csv"], ["--out", "."]])
 PROVENANCE = st.sampled_from([[], ["--provenance", "p.jsonl"], ["--provenance", "sub/p.jsonl"]])
 JUNK = st.sampled_from([[], ["--bogus"], ["extra"]])
 

@@ -151,6 +151,11 @@ class TestKeys:
         with pytest.raises(ValueError):
             clean_key("   ")
 
+    @pytest.mark.parametrize("key", ["a\rb", "a\x00b"], ids=["carriage_return", "nul"])
+    def test_characters_no_csv_file_carries_back_rejected(self, key):
+        with pytest.raises(ValueError, match="contains"):
+            clean_key(key)
+
     def test_byte_exact_comparison(self):
         assert Edge("a", "b", ONE) != Edge("A", "b", ONE)
 

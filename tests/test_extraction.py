@@ -120,6 +120,22 @@ class TestInProcessProbing:
             probe_blackbox(InProcessTransform(counted), crossmap.sources, jobs=jobs)
         assert calls == 0
 
+    @pytest.mark.parametrize("tolerance", [1e-9, 0.0, True, False])
+    def test_inexact_tolerance_rejected_before_any_probe(self, tolerance):
+        def refuse(array: MassArray) -> MassArray:
+            pytest.fail("probed")
+
+        with pytest.raises(TypeError, match="tolerance"):
+            probe_blackbox(InProcessTransform(refuse), ["a"], tolerance=tolerance)
+
+    @pytest.mark.parametrize("tolerance", ["1e-9", 0, Fraction(1, 10**9)])
+    def test_exact_tolerance_recorded_exactly(self, tolerance):
+        crossmap = identity_crossmap(["a", "b"])
+        target = InProcessTransform(lambda array: apply_transform(crossmap, array)[0])
+        result = probe_blackbox(target, crossmap.sources, tolerance)
+        assert result.crossmap == crossmap
+        assert result.tolerance_used == Fraction(tolerance)
+
     def test_nondeterminism_detected(self):
         outputs = iter(
             [MassArray({"t": Fraction(1)}), MassArray({"t": Fraction(1, 2), "u": Fraction(1, 2)})]

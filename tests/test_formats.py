@@ -211,6 +211,7 @@ class TestQuoting:
 
     @given(st.lists(LINE_BREAKING_KEYS, min_size=1, max_size=6))
     @example(["a\rb", "c"])
+    @example(["a\x00b"])
     def test_every_accepted_key_round_trips(self, texts):
         edges, entries = {}, {}
         for i, text in enumerate(texts):
@@ -243,6 +244,17 @@ class TestQuoting:
         ((line, message),) = excinfo.value.problems
         assert line == 2
         assert "field larger than field limit" in message
+
+    @pytest.mark.parametrize(
+        ("reader", "header"),
+        [(read_edge_list, "from,to,weight"), (read_array, "key,value"), (read_crosswalk, "from,to")],
+        ids=["edge_list", "array", "crosswalk"],
+    )
+    def test_nul_is_parse_error_on_every_version(self, reader, header):
+        # csv.reader refuses NUL before Python 3.11 and reads it as key text after.
+        with pytest.raises(ParseError) as excinfo:
+            reader(io.StringIO(f"{header}\nA,B,1\n\"b\nc\x00\",x,1\n"))
+        assert excinfo.value.problems == ((4, "line contains NUL"),)
 
 
 def per_row_reference(header: list[str], rows) -> str:

@@ -96,6 +96,11 @@ class TestImportFootprint:
         loaded = _loaded(tmp_path, CLI, *COMMANDS[command])
         assert [m for m in CODE_GENERATION if m in loaded] == []
 
+    def test_star_import_loads_no_subprocess(self, tmp_path):
+        # Only ExternalCommandTransform.run spawns a process, and it imports subprocess itself.
+        code = "import sys\nfrom crossmaps import *\nopen(sys.argv[1], 'w').write('\\n'.join(sorted(sys.modules)))\n"
+        assert "subprocess" not in _loaded(tmp_path, code)
+
     def test_star_import_loads_no_code_generation(self, tmp_path):
         code = "import sys\nfrom crossmaps import *\nopen(sys.argv[1], 'w').write('\\n'.join(sorted(sys.modules)))\n"
         loaded = _loaded(tmp_path, code)
@@ -117,6 +122,10 @@ class TestLazySurface:
         for module, names in crossmaps._EXPORTS.items():
             exported = importlib.import_module(f"crossmaps.{module}").__all__
             assert [name for name in names if name not in exported] == []
+
+    def test_each_submodule_exports_its_table_entry(self):
+        for module, names in crossmaps._EXPORTS.items():
+            assert importlib.import_module(f"crossmaps.{module}").__all__ == names
 
     def test_probe_error_is_one_class(self):
         assert crossmaps.extraction.ProbeError is crossmaps.core.ProbeError is crossmaps.ProbeError

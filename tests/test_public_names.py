@@ -19,6 +19,12 @@ def test_star_import_binds_every_exported_name():
     assert set(crossmaps.__all__) <= namespace.keys()
 
 
+@pytest.mark.parametrize("name", ["RelationType", "Severity", "SplitPolicy", "TargetSummary", "clean_key"])
+def test_name_once_missing_from_the_package_resolves(name):
+    assert name in crossmaps.__all__
+    assert getattr(crossmaps, name) is getattr(importlib.import_module(f"crossmaps.{crossmaps._MODULE_OF[name]}"), name)
+
+
 @pytest.mark.parametrize("name", SUBMODULES)
 def test_submodule_all_names_resolve(name):
     module = importlib.import_module(f"crossmaps.{name}")

@@ -134,14 +134,10 @@ class TestCheckArray:
     def test_zero_fine_under_allow_zero(self):
         assert check_array(MassArray({"a": 0})) == ()
 
-    def test_zero_flagged_under_strict_positive(self):
-        (finding,) = check_array(MassArray({"a": 0}), policy="strict_positive")
-        assert finding.code == "nonpositive_value"
-
     def test_negative_always_flagged(self):
         (finding,) = check_array(MassArray({"a": Fraction(-3)}))
         assert finding.code == "negative_value"
         assert finding.value == Fraction(-3)
 
     def test_clean_array_has_no_findings(self):
-        assert check_array(MassArray({"a": 1, "b": Fraction(1, 3)}), policy="strict_positive") == ()
+        assert check_array(MassArray({"a": 1, "b": Fraction(1, 3)})) == ()
