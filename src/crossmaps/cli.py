@@ -16,7 +16,6 @@ import json
 import os
 import shlex
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 # Every command reads through formats; each handler imports the rest of the
@@ -25,10 +24,8 @@ from .core import (
     Crossmap,
     CrossmapError,
     InvalidCrossmapError,
-    ProbeError,
     ValidationReport,
     build_crossmap,
-    render_rational,
     validate_draft,
 )
 from .formats import (
@@ -47,7 +44,6 @@ __all__ = ["main"]
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_USAGE = 2
-EXIT_PROBE = 3
 
 SUMMARY_KEY_DISPLAY_LIMIT = 10
 MAX_JOBS = 64
@@ -56,9 +52,10 @@ MAX_JOBS = 64
 def _source(args: argparse.Namespace, path: str):
     """The one reader of an input: a text stream over the file's bytes, read once.
 
-    The bytes are decoded as UTF-8 with universal newlines, as a text-mode
-    read would; under ``--provenance`` their sha256 is kept for the record.
-    '-' means standard input, which is not recorded.
+    The bytes are decoded as UTF-8; the readers give the text the
+    universal-newline reading a text-mode file gets.  Under ``--provenance``
+    their sha256 is kept for the record.  '-' means standard input, which is
+    not recorded.
     """
     if path == "-":
         return sys.stdin
@@ -67,7 +64,7 @@ def _source(args: argparse.Namespace, path: str):
         import hashlib
 
         args.inputs[path] = "sha256:" + hashlib.sha256(data).hexdigest()
-    stream = io.StringIO(data.decode("utf-8"), newline=None)
+    stream = io.StringIO(data.decode("utf-8"))
     stream.name = path
     return stream
 
@@ -97,6 +94,17 @@ def _emit(args: argparse.Namespace, text: str, extra: dict, trailer: str = "") -
                 raise OSError(exc.errno, exc.strerror, args.out) from exc
             raise
     sys.stderr.write(trailer)
+
+
+class _Refusal(CrossmapError):
+    """A failure a handler finds itself, carrying its whole JSON document and its exit code."""
+
+    def __init__(self, document: dict, exit_code: int):
+        super().__init__(document)
+        self.document, self.exit_code = document, exit_code
+
+    def to_json_dict(self) -> dict:
+        return self.document
 
 
 def _load_crossmap(args: argparse.Namespace, path: str) -> Crossmap:
@@ -137,15 +145,14 @@ def _provenance_record(args: argparse.Namespace, extra: dict) -> None:
         fh.write(json.dumps(record, sort_keys=True) + "\n")
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
+def _cmd_validate(args: argparse.Namespace) -> None:
     report = validate_draft(read_edge_list(_source(args, args.edges)))
     sys.stdout.write(to_json(report) if args.json else _report_lines(report))
     if not report.ok:
         raise InvalidCrossmapError(report)
-    return EXIT_OK
 
 
-def _cmd_apply(args: argparse.Namespace) -> int:
+def _cmd_apply(args: argparse.Namespace) -> None:
     from .transform import TransformOptions, apply_transform
 
     crossmap = _load_crossmap(args, args.map)
@@ -158,10 +165,9 @@ def _cmd_apply(args: argparse.Namespace) -> int:
     document = receipt.to_json_dict()
     trailer = to_json(document) if args.json else _receipt_lines(document)
     _emit(args, write_array(output), {"receipt": document}, trailer)
-    return EXIT_OK
 
 
-def _cmd_compose(args: argparse.Namespace) -> int:
+def _cmd_compose(args: argparse.Namespace) -> None:
     from .algebra import compose
 
     maps = [_load_crossmap(args, path) for path in args.edges]
@@ -169,10 +175,9 @@ def _cmd_compose(args: argparse.Namespace) -> int:
     for nxt in maps[1:]:
         combined = compose(combined, nxt)
     _emit(args, write_edge_list(combined), {})
-    return EXIT_OK
 
 
-def _cmd_reverse(args: argparse.Namespace) -> int:
+def _cmd_reverse(args: argparse.Namespace) -> None:
     from .algebra import reverse
 
     crossmap = _load_crossmap(args, args.edges)
@@ -180,10 +185,9 @@ def _cmd_reverse(args: argparse.Namespace) -> int:
     if isinstance(result, ValidationReport):
         raise InvalidCrossmapError(result, subject=args.edges)
     _emit(args, write_edge_list(result), {})
-    return EXIT_OK
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> None:
     from .graph import components
 
     crossmap = _load_crossmap(args, args.edges)
@@ -197,7 +201,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 f"sources: {', '.join(component.sources)} -> "
                 f"targets: {', '.join(component.targets)}\n"
             )
-    return EXIT_OK
 
 
 def _summary_table(summary: dict) -> str:
@@ -230,7 +233,7 @@ def _metrics_lines(d: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_summarize(args: argparse.Namespace) -> int:
+def _cmd_summarize(args: argparse.Namespace) -> None:
     from .graph import imputation_metrics, summarize
 
     crossmap = _load_crossmap(args, args.edges)
@@ -243,31 +246,20 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
         sys.stdout.write(to_json(payload))
     else:
         sys.stdout.write(_summary_table(payload) + _metrics_lines(imputation))
-    return EXIT_OK
 
 
-def _cmd_extract(args: argparse.Namespace) -> int:
-    from .extraction import ExternalCommandTransform, probe_blackbox
+def _cmd_extract(args: argparse.Namespace) -> None:
+    from .extraction import ExternalCommandTransform, _exact_tolerance, probe_blackbox
 
-    _, exp_mark, exponent = args.tolerance.lower().partition("e")
     try:
-        # Fraction expands a decimal exponent into an exact integer, so a huge one is refused
-        # unbuilt; one too long to print in the result (e.g. 1e-99999) is refused before probing.
-        if exp_mark and abs(int(exponent)) > sys.get_int_max_str_digits():
-            raise ValueError(exponent)
-        tolerance = Fraction(args.tolerance)
-        render_rational(tolerance)
+        tolerance = _exact_tolerance(args.tolerance)
     except ValueError:
-        tolerance = None
-    if tolerance is None or tolerance < 0:
         message = f"--tolerance must be a non-negative number, got {args.tolerance!r}"
-        sys.stderr.write(to_json({"error": "usage", "message": message}))
-        return EXIT_USAGE
+        raise _Refusal({"error": "usage", "message": message}, EXIT_USAGE) from None
     _, text = _read_text(_source(args, args.keys))
-    keys = [line.strip() for line in text.splitlines() if line.strip()]
+    keys = [line.strip() for line in text.split("\n") if line.strip()]
     if not keys:
-        sys.stderr.write(to_json({"error": "usage", "message": f"--keys file {args.keys!r} holds no source keys"}))
-        return EXIT_USAGE
+        raise _Refusal({"error": "usage", "message": f"--keys file {args.keys!r} holds no source keys"}, EXIT_USAGE)
     transform = ExternalCommandTransform(args.cmd)
     result = probe_blackbox(
         transform,
@@ -277,28 +269,22 @@ def _cmd_extract(args: argparse.Namespace) -> int:
         jobs=args.jobs,
     )
     if result.crossmap is None:
-        payload = result.to_json_dict()
-        payload["error"] = "nonconforming_probe_totals"
-        sys.stderr.write(to_json(payload))
-        return EXIT_VALIDATION
+        raise _Refusal({**result.to_json_dict(), "error": "nonconforming_probe_totals"}, EXIT_VALIDATION)
     _emit(args, write_edge_list(result.crossmap), {"extraction": result.to_json_dict()})
-    return EXIT_OK
 
 
-def _cmd_import_crosswalk(args: argparse.Namespace) -> int:
+def _cmd_import_crosswalk(args: argparse.Namespace) -> None:
     policy = "equal_split" if args.equal_split else "reject_splits"
     crossmap, report = import_crosswalk(_source(args, args.crosswalk), split_policy=policy)
     if crossmap is None:
         raise InvalidCrossmapError(report, subject=args.crosswalk)
     warnings = "".join(f"warning {w.code} {w.subject}: {w.message}\n" for w in report.warnings)
     _emit(args, write_edge_list(crossmap), {}, warnings)
-    return EXIT_OK
 
 
-def _cmd_export_dot(args: argparse.Namespace) -> int:
+def _cmd_export_dot(args: argparse.Namespace) -> None:
     crossmap = _load_crossmap(args, args.edges)
     _emit(args, export_dot(crossmap), {})
-    return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -404,13 +390,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     args.inputs = {}  # input digests, filled by _source under --provenance
     try:
-        return args.handler(args)
-    except ProbeError as exc:
-        sys.stderr.write(to_json(exc))
-        return EXIT_PROBE
+        args.handler(args)
     except CrossmapError as exc:
         sys.stderr.write(to_json(exc))
-        return EXIT_VALIDATION
+        return exc.exit_code
     except (OSError, UnicodeDecodeError) as exc:
         if isinstance(exc, UnicodeDecodeError):
             payload = {"error": "encoding", "message": f"input is not UTF-8: {exc}"}
@@ -418,6 +401,7 @@ def main(argv: list[str] | None = None) -> int:
             payload = {"error": "io", "message": str(exc)}
         sys.stderr.write(to_json(payload))
         return EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

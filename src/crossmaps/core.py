@@ -82,10 +82,12 @@ class CrossmapError(Exception):
     """Base class for errors raised by this package.
 
     ``to_json_dict`` is the failure's JSON document; by default its
-    ``"error"`` key is the subclass's ``error`` attribute.
+    ``"error"`` key is the subclass's ``error`` attribute.  ``exit_code``
+    is the status the command line exits with after writing that document.
     """
 
     error: str
+    exit_code = 1
 
     def to_json_dict(self) -> dict:
         return {"error": self.error, "message": str(self)}
@@ -117,6 +119,7 @@ class ProbeError(CrossmapError):
     """A probe failed: process error, unparsable output, or nondeterminism."""
 
     error = "probe"
+    exit_code = 3
 
 
 def parse_rational(text: str) -> Fraction:

@@ -15,6 +15,7 @@ probes and is the caller's judgement.
 from __future__ import annotations
 
 import io
+import sys
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -77,8 +78,7 @@ class ExternalCommandTransform(_Record):
             detail = proc.stderr.decode("utf-8", errors="replace").strip() or f"exit status {proc.returncode}"
             raise ProbeError(f"{self.argv[0]!r} failed: {detail}")
         try:
-            # newline=None keeps the universal-newline reading of text mode.
-            output = io.StringIO(proc.stdout.decode("utf-8"), newline=None)
+            output = io.StringIO(proc.stdout.decode("utf-8"))
             output.name = self.argv[0]
             return formats.read_array(output)
         except (formats.ParseError, ValueError) as exc:
@@ -134,6 +134,29 @@ def rationalize(value: Fraction | int | str, max_denominator: int) -> Fraction:
     return Fraction(value).limit_denominator(max_denominator)
 
 
+def _exact_tolerance(value: Fraction | int | str) -> Fraction:
+    """``value`` as an exact, non-negative tolerance short enough to print in the result.
+
+    A float would be recorded as its binary double and True read as 1, so
+    both are refused.  Fraction expands a decimal exponent into an exact
+    integer, so text with a huge one is refused unbuilt.
+    """
+    if isinstance(value, (float, bool)):
+        raise TypeError(f"tolerance must be Fraction, int or str, not {type(value).__name__}")
+    _, exp_mark, exponent = value.lower().partition("e") if isinstance(value, str) else ("", "", "")
+    limit = sys.get_int_max_str_digits()
+    if exp_mark and limit and abs(int(exponent)) > limit:
+        raise ValueError(f"tolerance exponent is over {limit} in magnitude")
+    try:
+        tol = Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"tolerance {value!r} has a zero denominator") from None
+    if tol < ZERO:
+        raise ValueError("tolerance must be non-negative")
+    render_rational(tol)
+    return tol
+
+
 def _identity_probe(keys: tuple[str, ...], hot: str) -> MassArray:
     return MassArray._from_clean({k: (ONE if k == hot else ZERO) for k in keys})
 
@@ -155,22 +178,23 @@ def probe_blackbox(
     base-10 values the transform produced, so no precision is invented
     silently.  Probes run concurrently across ``jobs`` workers (an
     int, at least 1) after a serial determinism check on the first key; the
-    session issues at most ``len(source_keys) + 1`` probes.
+    session issues at most ``len(source_keys) + 1`` probes, and none before
+    every argument is checked.
     """
     if isinstance(jobs, bool) or not isinstance(jobs, int):
         raise TypeError(f"jobs must be an int, not {type(jobs).__name__}")
     if jobs < 1:
         raise ValueError("jobs must be at least 1")
+    max_den = rationalize_max_denominator
+    snap = max_den is not None
+    if snap and (isinstance(max_den, bool) or not isinstance(max_den, int)):
+        raise TypeError(f"rationalize_max_denominator must be an int or None, not {type(max_den).__name__}")
+    if snap and max_den < 1:
+        raise ValueError("rationalize_max_denominator must be at least 1")
     keys = tuple(dict.fromkeys(clean_key(k) for k in source_keys))
     if not keys:
         raise ValueError("need at least one source key to probe")
-    # Refused like float and bool weights: a float would be recorded as its
-    # binary double, and True would be read as 1.
-    if isinstance(tolerance, (float, bool)):
-        raise TypeError(f"tolerance must be Fraction, int or str, not {type(tolerance).__name__}")
-    tol = Fraction(tolerance)
-    if tol < ZERO:
-        raise ValueError("tolerance must be non-negative")
+    tol = _exact_tolerance(tolerance)
 
     def probe(hot: str) -> MassArray:
         out = transform.run(_identity_probe(keys, hot))
@@ -196,7 +220,6 @@ def probe_blackbox(
             for key in rest:
                 outputs[key] = probe(key)
 
-    snap = rationalize_max_denominator is not None
     edges: list[Edge] = []
     nonconforming: list[tuple[str, Fraction]] = []
     for key in keys:
@@ -206,7 +229,7 @@ def probe_blackbox(
             if not value or abs(value) <= tol:
                 continue
             if snap:
-                snapped = rationalize(value, rationalize_max_denominator)
+                snapped = rationalize(value, max_den)
                 # Within tol of a value more than tol from zero, so never zero itself.
                 if abs(snapped - value) <= tol:
                     value = snapped

@@ -32,10 +32,11 @@ from crossmaps.core import (
     InvalidCrossmapError,
     ValueTooLongError,
     build_crossmap,
+    identity_crossmap,
     validate_draft,
 )
 from crossmaps.extraction import ProbeError
-from crossmaps.formats import ParseError, read_edge_list, write_edge_list
+from crossmaps.formats import ParseError, read_edge_list, to_json, write_edge_list
 from crossmaps.transform import CoverageError, MissingValueError, NegativeMassError, apply_transform
 
 HARNESS = Path(__file__).parent / "trunc_harness.py"
@@ -335,6 +336,17 @@ class TestExtract:
         assert json.loads(capsys.readouterr().err)["error"] == "usage"
         assert not (tmp_path / "x.csv").exists()
 
+    def test_zero_denominator_tolerance_is_usage_error(self, tmp_path, capsys):
+        keys = tmp_path / "keys.txt"
+        keys.write_text("a\n", encoding="utf-8")
+        assert main(["extract", "--cmd", "cat", "--keys", str(keys), "--tolerance", "1/0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "usage",
+            "message": "--tolerance must be a non-negative number, got '1/0'",
+        }
+
     def test_non_utf8_probe_output_exits_three(self, tmp_path, capsys):
         keys = tmp_path / "keys.txt"
         keys.write_text("a\n", encoding="utf-8")
@@ -400,6 +412,29 @@ class TestExtract:
         assert proc.returncode == 0, proc.stderr.decode()
         assert out.read_text(encoding="utf-8") == "from,to,weight\na,a,1\nb,b,1\n"
         assert json.loads(record.read_text(encoding="utf-8"))["inputs"] == {}
+
+    def test_keys_file_splits_only_at_line_ends(self, tmp_path, capsys):
+        # str.splitlines() would also break at each of these; the CSV readers keep them inside a key.
+        keys = [f"a{ch}b" for ch in "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"]
+        path = tmp_path / "keys.txt"
+        path.write_bytes("".join(k + "\n" for k in keys).encode("utf-8"))
+        out = tmp_path / "x.csv"
+        assert main(["extract", "--cmd", "cat", "--keys", str(path), "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == write_edge_list(identity_crossmap(keys))
+        assert capsys.readouterr().err == ""
+
+    def test_exponent_tolerance_under_unlimited_digits(self, tmp_path, capsys):
+        # A digit limit of 0 means no limit: the default 1e-9 is then no longer refused.
+        keys = tmp_path / "keys.txt"
+        keys.write_text("a\n", encoding="utf-8")
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            code = main(["extract", "--cmd", "cat", "--keys", str(keys), "--tolerance", "1e-9"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0
+        assert capsys.readouterr().out == "from,to,weight\na,a,1\n"
 
     def test_nul_in_keys_file_is_parse_error(self, tmp_path, capsys, monkeypatch):
         keys = tmp_path / "keys.txt"
@@ -651,19 +686,24 @@ def _leftovers(root: Path) -> list[str]:
     return sorted(p.name for p in root.rglob("*") if p.name == "o.csv" or p.name.endswith(".tmp"))
 
 
+def _error_samples() -> dict[type, CrossmapError]:
+    """One instance of every exported error class."""
+    report = validate_draft(EdgeListDraft([Edge("a", "b", Fraction(1, 2))]))
+    return {
+        CompositionError: CompositionError(("m",)),
+        CoverageError: CoverageError(("k",), Fraction(3), step=1),
+        InvalidCrossmapError: InvalidCrossmapError(report, subject="m.csv"),
+        MissingValueError: MissingValueError(("k",)),
+        NegativeMassError: NegativeMassError(("k",)),
+        ParseError: ParseError("m.csv", [(2, "blank key")]),
+        ProbeError: ProbeError("'cat' failed: exit status 4"),
+        ValueTooLongError: ValueTooLongError("exact value too long"),
+    }
+
+
 class TestFailureDocuments:
     def test_every_exported_error_renders_a_document(self):
-        report = validate_draft(EdgeListDraft([Edge("a", "b", Fraction(1, 2))]))
-        samples = {
-            CompositionError: CompositionError(("m",)),
-            CoverageError: CoverageError(("k",), Fraction(3), step=1),
-            InvalidCrossmapError: InvalidCrossmapError(report, subject="m.csv"),
-            MissingValueError: MissingValueError(("k",)),
-            NegativeMassError: NegativeMassError(("k",)),
-            ParseError: ParseError("m.csv", [(2, "blank key")]),
-            ProbeError: ProbeError("'cat' failed: exit status 4"),
-            ValueTooLongError: ValueTooLongError("exact value too long"),
-        }
+        samples = _error_samples()
         exported = {
             obj
             for obj in (getattr(crossmaps, name) for name in crossmaps.__all__)
@@ -686,6 +726,21 @@ class TestFailureDocuments:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == json.dumps({"error": "validation", **report.to_json_dict()}, indent=2) + "\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("error", list(_error_samples()), ids=lambda cls: cls.__name__)
+    def test_every_exported_error_exits_with_its_code(self, error, country_file, tmp_path, capsys, monkeypatch):
+        exc = _error_samples()[error]
+
+        def refuse(first, second):
+            raise exc
+
+        monkeypatch.setattr(algebra, "compose", refuse)
+        out = tmp_path / "x.csv"
+        assert main(["compose", country_file, country_file, "--out", str(out)]) == (3 if error is ProbeError else 1)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == to_json(exc)
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -734,7 +789,7 @@ class TestFailureDocuments:
                 pytest.fail(f"built Fraction({tolerance[:20]!r}...)")
             return Fraction(*args)
 
-        monkeypatch.setattr(cli, "Fraction", spy)
+        monkeypatch.setattr(extraction, "Fraction", spy)
         monkeypatch.setattr(extraction, "probe_blackbox", lambda *a, **k: pytest.fail("probed"))
         keys = tmp_path / "keys.txt"
         keys.write_text("a\n", encoding="utf-8")

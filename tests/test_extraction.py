@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from crossmaps.core import Crossmap, Edge, MassArray, identity_crossmap
+from crossmaps import extraction
+from crossmaps.core import Crossmap, Edge, MassArray, ValueTooLongError, identity_crossmap
 from crossmaps.extraction import (
     ExternalCommandTransform,
     InProcessTransform,
@@ -119,6 +120,41 @@ class TestInProcessProbing:
         with pytest.raises(error, match="jobs"):
             probe_blackbox(InProcessTransform(counted), crossmap.sources, jobs=jobs)
         assert calls == 0
+
+    @pytest.mark.parametrize(
+        "max_den, error", [(0, ValueError), (-3, ValueError), (True, TypeError), (2.5, TypeError), ("100", TypeError)]
+    )
+    def test_bad_max_denominator_rejected_before_any_probe(self, max_den, error):
+        def refuse(array: MassArray) -> MassArray:
+            pytest.fail("probed")
+
+        with pytest.raises(error, match="rationalize_max_denominator"):
+            probe_blackbox(InProcessTransform(refuse), ["a"], rationalize_max_denominator=max_den)
+
+    @pytest.mark.parametrize(
+        "tolerance, error",
+        [
+            ("1e-99999", ValueError),
+            ("1e-999999999", ValueError),
+            ("0e5000", ValueError),
+            ("-1/2", ValueError),
+            ("1/0", ValueError),
+            (Fraction(1, 10 ** sys.get_int_max_str_digits()), ValueTooLongError),
+        ],
+        ids=["unprintable", "huge_exponent", "zero_huge_exponent", "negative", "zero_denominator", "unprintable_fraction"],
+    )
+    def test_bad_tolerance_rejected_before_any_probe(self, tolerance, error, monkeypatch):
+        def spy(*args):
+            if isinstance(args[0], str) and "e" in args[0]:
+                pytest.fail(f"built Fraction({args[0][:20]!r}...)")
+            return Fraction(*args)
+
+        def refuse(array: MassArray) -> MassArray:
+            pytest.fail("probed")
+
+        monkeypatch.setattr(extraction, "Fraction", spy)
+        with pytest.raises(error):
+            probe_blackbox(InProcessTransform(refuse), ["a"], tolerance=tolerance)
 
     @pytest.mark.parametrize("tolerance", [1e-9, 0.0, True, False])
     def test_inexact_tolerance_rejected_before_any_probe(self, tolerance):
