@@ -20,7 +20,7 @@ from .core import (
     ValidationReport,
     ZERO,
     _Record,
-    _exact_sums,
+    _exact_pairs,
     render_rational,
 )
 
@@ -105,33 +105,57 @@ def compose(first: Crossmap, second: Crossmap) -> Crossmap:
 
     Every target of ``first`` must be a source of ``second``.  The result's
     rows still sum to 1 (the product of row-stochastic matrices is
-    row-stochastic), which construction re-asserts.  A source of ``first``
-    with a single edge passes all its mass on with weight 1, so its composed
-    row is its target's row in ``second``, copied with no arithmetic; only
-    split sources multiply and sum.
+    row-stochastic), which construction re-asserts.  The work goes row by
+    row, over the rows validation built, and a weight passes unchanged
+    through a unit row (a single edge, weight 1) of either map: a source of
+    ``first`` with a single edge gets its target's row in ``second`` copied,
+    and a path through a single-edge row of ``second`` keeps the weight
+    object of its ``first`` edge.  Arithmetic happens only where a row of
+    ``second`` splits (a product) or where paths of one source meet at one
+    target (a sum).
     """
-    unmatched = tuple(t for t in first.targets if t not in second.outgoing)
+    rows = second.outgoing
+    unmatched = tuple(t for t in first.targets if t not in rows)
     if unmatched:
         raise CompositionError(unmatched)
-    outgoing = second.outgoing
-    edges: list[Edge] = []
-    split: list[Edge] = []
+    new_edge = Edge._from_clean
+    edges: list[Edge | tuple[str, str]] = []
+    # Paths of one source that meet at one target are summed together at the
+    # end: their edge waits in ``edges`` as its (source, target) pair, and
+    # their terms, keyed by its index there, wait in ``meeting``.
+    meeting: list[tuple[int, int, int]] = []
     for source, lefts in first.outgoing.items():
         if len(lefts) == 1:
-            edges.extend(Edge._from_clean(source, e.target, e.weight) for e in outgoing[lefts[0].target])
-        else:
-            split.extend(lefts)
-
-    def terms():
-        # Each split path's weight product as an unreduced integer pair.
-        for left in split:
+            for right in rows[lefts[0].target]:
+                edges.append(new_edge(source, right.target, right.weight))
+            continue
+        # Each target's path weights.  A unit right row passes the left
+        # weight object on; a split one gives one integer product per edge.
+        reached: dict[str, list[Fraction]] = {}
+        for left in lefts:
+            rights = rows[left.target]
+            if len(rights) == 1:
+                target = rights[0].target
+                if target in reached:
+                    reached[target].append(left.weight)
+                else:
+                    reached[target] = [left.weight]
+                continue
             a, b = left.weight.as_integer_ratio()
-            for right in outgoing[left.target]:
+            for right in rights:
                 n, d = right.weight.as_integer_ratio()
-                yield (left.source, right.target), a * n, b * d
-
-    accumulated = _exact_sums(terms())
-    edges.extend(Edge._from_clean(s, t, w) for (s, t), w in accumulated.items())
+                reached.setdefault(right.target, []).append(Fraction(a * n, b * d))
+        for target in sorted(reached):
+            weights = reached[target]
+            if len(weights) == 1:
+                edges.append(new_edge(source, target, weights[0]))
+                continue
+            index = len(edges)
+            edges.append((source, target))
+            for weight in weights:
+                meeting.append((index, *weight.as_integer_ratio()))
+    for index, (n, d) in _exact_pairs(meeting).items():
+        edges[index] = new_edge(*edges[index], Fraction(n, d))
     return Crossmap(edges)
 
 

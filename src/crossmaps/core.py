@@ -16,10 +16,10 @@ field, call the constructor with the new value.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import ItemsView, Iterable, Iterator, Mapping, ValuesView
 from fractions import Fraction
 from functools import cached_property
-from itertools import groupby
 from math import gcd
 from operator import attrgetter
 from sys import get_int_max_str_digits
@@ -199,6 +199,20 @@ def _exact_pairs(terms: Iterable[tuple[K, int, int]]) -> dict[K, list[int]]:
     return acc
 
 
+def _add_ratio(n: int, d: int, m: int, e: int) -> tuple[int, int]:
+    """``n/d + m/e`` as an unreduced pair over the lcm of the positive denominators ``d`` and ``e``.
+
+    The same step as :func:`_exact_pairs`'s, which keeps its own inline copy:
+    a call per term there would slow ``apply_transform``.
+    """
+    g = gcd(d, e)
+    if g == e:
+        return n + m * (d // e), d
+    if g == 1:
+        return n * e + m * d, d * e
+    return n * (e // g) + m * (d // g), d // g * e
+
+
 def _exact_sums(terms: Iterable[tuple[K, int, int]]) -> dict[K, Fraction]:
     """:func:`_exact_pairs` reduced once per key: the canonical ``Fraction`` sums."""
     return {key: Fraction(n, d) for key, (n, d) in _exact_pairs(terms).items()}
@@ -337,17 +351,22 @@ class Crossmap(_Record):
     Edges are canonically sorted by (source, target); ``sources`` and
     ``targets`` are the sorted key sets actually appearing on each side.
     Two crossmaps built from the same edges in any order compare equal.
+    ``outgoing`` maps each source, in canonical order, to its row: its run
+    of edges, a slice of ``edges``.  Validation builds the rows as it checks
+    them, so no view groups the edges again.
     """
 
     # The instance dict holds only the cached views.
     _fields = ("edges",)
-    __slots__ = ("edges", "__dict__")
+    __slots__ = ("edges", "outgoing", "__dict__")
+    outgoing: Mapping[str, tuple[Edge, ...]]
 
     def __init__(self, edges: Iterable[Edge]) -> None:
         object.__setattr__(self, "edges", tuple(sorted(edges, key=_EDGE_ORDER)))
-        report = _validate_edges(self.edges)
+        report, rows = _validate_edges(self.edges)
         if not report.ok:
             raise InvalidCrossmapError(report)
+        object.__setattr__(self, "outgoing", rows)
 
     @cached_property
     def sources(self) -> tuple[str, ...]:
@@ -356,11 +375,6 @@ class Crossmap(_Record):
     @cached_property
     def targets(self) -> tuple[str, ...]:
         return tuple(sorted({e.target for e in self.edges}))
-
-    @cached_property
-    def outgoing(self) -> Mapping[str, tuple[Edge, ...]]:
-        """Edges grouped by source key, in canonical order."""
-        return {s: tuple(es) for s, es in groupby(self.edges, key=_EDGE_SOURCE)}
 
     @cached_property
     def incoming(self) -> Mapping[str, tuple[str, ...]]:
@@ -378,7 +392,7 @@ class Crossmap(_Record):
 
     @cached_property
     def _components(self) -> tuple:
-        # Cached like ``outgoing``; graph.components is the documented accessor.
+        # Cached like ``incoming``; graph.components is the documented accessor.
         from .graph import _find_components
         return _find_components(self)
 
@@ -451,7 +465,23 @@ class MassArray(Mapping):
         return tuple(k for k, v in self._entries.items() if v is None)
 
 
-def _validate_edges(edges: tuple[Edge, ...]) -> ValidationReport:
+def _out_of_range(edge: Edge) -> Finding:
+    return Finding(
+        severity="error",
+        code="weight_out_of_range",
+        subject=f"{edge.source}->{edge.target}",
+        message=f"weight {render_rational(edge.weight)} outside (0, 1]",
+        value=edge.weight,
+    )
+
+
+def _validate_edges(edges: tuple[Edge, ...]) -> tuple[ValidationReport, dict[str, tuple[Edge, ...]]]:
+    """Check every crossmap condition on edges sorted by (source, target), one row at a time.
+
+    Returns the report and the rows: each source's run of edges, a slice of
+    ``edges``, in source order.  Per-edge findings come in edge order, then
+    each ``weight_sum_not_one`` in source order.
+    """
     findings: list[Finding] = []
     if not edges:
         findings.append(
@@ -462,54 +492,58 @@ def _validate_edges(edges: tuple[Edge, ...]) -> ValidationReport:
                 message="a crossmap needs at least one edge",
             )
         )
-    # The edges come sorted by (source, target), so a duplicate pair always
-    # directly follows its twin.
-    previous_source = previous_target = None
-    terms: list[tuple[str, int, int]] = []
-    for edge in edges:
-        if edge.target == previous_target and edge.source == previous_source:
-            findings.append(
-                Finding(
-                    severity="error",
-                    code="duplicate_edge",
-                    subject=f"{edge.source}->{edge.target}",
-                    message=f"duplicate edge ({edge.source}, {edge.target})",
-                )
+    rows: dict[str, tuple[Edge, ...]] = {}
+    unbalanced: list[tuple[str, int, int]] = []
+    end = 0
+    # The edges come sorted, so each source's row is the next run of edges.
+    for source, count in Counter(map(_EDGE_SOURCE, edges)).items():
+        start = end
+        end += count
+        rows[source] = row = edges[start:end]
+        head = row[0]
+        total_n, total_d = head.weight.as_integer_ratio()
+        # Fraction denominators are positive, so 0 < n/d <= 1 iff 0 < n <= d;
+        # the common unit weight, n == d, is in range and needs one test.
+        if total_n != total_d and not 0 < total_n <= total_d:
+            findings.append(_out_of_range(head))
+        if count > 1:
+            previous_target = head.target
+            for edge in row[1:]:
+                # Sorted by target within the row, a duplicate pair always
+                # directly follows its twin.
+                if edge.target == previous_target:
+                    findings.append(
+                        Finding(
+                            severity="error",
+                            code="duplicate_edge",
+                            subject=f"{source}->{edge.target}",
+                            message=f"duplicate edge ({source}, {edge.target})",
+                        )
+                    )
+                previous_target = edge.target
+                n, d = edge.weight.as_integer_ratio()
+                if not 0 < n <= d:
+                    findings.append(_out_of_range(edge))
+                total_n, total_d = _add_ratio(total_n, total_d, n, d)
+        # Unreduced, but with a positive denominator the sum is 1 iff n == d.
+        if total_n != total_d:
+            unbalanced.append((source, total_n, total_d))
+    for source, n, d in unbalanced:
+        # Only a failing sum needs its reduced Fraction, for the finding.
+        total = Fraction(n, d)
+        findings.append(
+            Finding(
+                severity="error",
+                code="weight_sum_not_one",
+                subject=source,
+                message=(
+                    f"outgoing weights of source {source!r} sum to "
+                    f"{render_rational(total)}, expected exactly 1"
+                ),
+                value=total,
             )
-        previous_source, previous_target = edge.source, edge.target
-        n, d = edge.weight.as_integer_ratio()
-        terms.append((edge.source, n, d))
-        # Fraction denominators are positive, so 0 < n/d <= 1 iff 0 < n <= d.
-        if not 0 < n <= d:
-            findings.append(
-                Finding(
-                    severity="error",
-                    code="weight_out_of_range",
-                    subject=f"{edge.source}->{edge.target}",
-                    message=f"weight {render_rational(edge.weight)} outside (0, 1]",
-                    value=edge.weight,
-                )
-            )
-    sums = _exact_pairs(terms)
-    for source in sorted(sums):
-        n, d = sums[source]
-        # Unreduced, but with d > 0 the sum is 1 iff n == d; only a failing
-        # sum needs its reduced Fraction, for the finding.
-        if n != d:
-            total = Fraction(n, d)
-            findings.append(
-                Finding(
-                    severity="error",
-                    code="weight_sum_not_one",
-                    subject=source,
-                    message=(
-                        f"outgoing weights of source {source!r} sum to "
-                        f"{render_rational(total)}, expected exactly 1"
-                    ),
-                    value=total,
-                )
-            )
-    return ValidationReport(tuple(findings))
+        )
+    return ValidationReport(tuple(findings)), rows
 
 
 def validate_draft(draft: EdgeListDraft) -> ValidationReport:
@@ -519,7 +553,7 @@ def validate_draft(draft: EdgeListDraft) -> ValidationReport:
     an out-of-range weight each become a finding, so one pass surfaces the
     complete repair list.
     """
-    return _validate_edges(tuple(sorted(draft.edges, key=_EDGE_ORDER)))
+    return _validate_edges(tuple(sorted(draft.edges, key=_EDGE_ORDER)))[0]
 
 
 def build_crossmap(draft: EdgeListDraft) -> Crossmap | ValidationReport:

@@ -196,24 +196,53 @@ class TestCompose:
         assert weights_of(compose(first, occupation)) == all_paths_reference(first, occupation)
 
     def test_unit_rows_copy_the_next_row_without_arithmetic(self, monkeypatch):
-        consumed = []
-        exact_sums = algebra._exact_sums
+        summed, built = [], []
+        exact_pairs = algebra._exact_pairs
 
-        def spy(terms):
+        def spy_sums(terms):
             terms = list(terms)
-            consumed.extend(terms)
-            return exact_sums(terms)
+            summed.extend(terms)
+            return exact_pairs(terms)
 
-        monkeypatch.setattr(algebra, "_exact_sums", spy)
-        first = Crossmap([Edge("u", "m", ONE), Edge("v", "m", ONE), Edge("s", "m", HALF), Edge("s", "n", HALF)])
-        second = Crossmap([Edge("m", "x", Fraction(1, 3)), Edge("m", "y", Fraction(2, 3)), Edge("n", "x", ONE)])
+        def spy_fraction(*args):
+            built.append(Fraction(*args))
+            return built[-1]
+
+        monkeypatch.setattr(algebra, "_exact_pairs", spy_sums)
+        monkeypatch.setattr(algebra, "Fraction", spy_fraction)
+        quarter = Fraction(1, 4)
+        first = Crossmap(
+            [
+                Edge("u", "m", ONE),
+                Edge("v", "m", ONE),
+                Edge("s", "m", HALF),
+                Edge("s", "n", quarter),
+                Edge("s", "p", Fraction(1, 4)),
+            ]
+        )
+        second = Crossmap(
+            [
+                Edge("m", "x", Fraction(1, 3)),
+                Edge("m", "y", Fraction(2, 3)),
+                Edge("n", "x", ONE),
+                Edge("p", "z", ONE),
+            ]
+        )
         composed = compose(first, second)
-        # Only the split source's three paths are multiplied and summed.
-        assert sorted(key for key, _, _ in consumed) == [("s", "x"), ("s", "x"), ("s", "y")]
+        # Unit left rows carry the next row's own weight objects.
         for source in ("u", "v"):
             row = composed.outgoing[source]
             assert [e.target for e in row] == ["x", "y"]
             assert all(e.weight is r.weight for e, r in zip(row, second.outgoing["m"]))
+        # s -> p -> z runs through a unit right row: the left edge's own object.
+        s_row = {e.target: e.weight for e in composed.outgoing["s"]}
+        assert s_row["z"] is first.outgoing["s"][2].weight
+        # Only the split row m is multiplied (s -> x, s -> y), and only the two
+        # paths meeting at x, one product and one passed-through 1/4, are summed.
+        assert sorted(Fraction(n, d) for _, n, d in summed) == [Fraction(1, 6), quarter]
+        assert len({key for key, _, _ in summed}) == 1
+        assert sorted(built) == [Fraction(1, 6), Fraction(1, 3), Fraction(5, 12)]
+        assert s_row == {"x": Fraction(5, 12), "y": Fraction(1, 3), "z": quarter}
         assert weights_of(composed) == all_paths_reference(first, second)
 
     def test_validates_its_result_once(self, monkeypatch):

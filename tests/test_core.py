@@ -8,6 +8,7 @@ import re
 import sys
 from collections import Counter
 from fractions import Fraction
+from itertools import groupby
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -195,6 +196,49 @@ class TestEdge:
         assert hash(edge) == hash(Edge("a", "b", HALF))
 
 
+def reference_report(edges) -> ValidationReport:
+    """The crossmap conditions restated plainly, over the edges sorted by (source, target)."""
+    ordered = sorted(edges, key=lambda e: (e.source, e.target))
+    findings = []
+    if not ordered:
+        findings.append(Finding("error", "no_edges", "<map>", "a crossmap needs at least one edge"))
+    seen = set()
+    for e in ordered:
+        subject = f"{e.source}->{e.target}"
+        if (e.source, e.target) in seen:
+            findings.append(Finding("error", "duplicate_edge", subject, f"duplicate edge ({e.source}, {e.target})"))
+        seen.add((e.source, e.target))
+        if not 0 < e.weight <= 1:
+            findings.append(
+                Finding("error", "weight_out_of_range", subject, f"weight {e.weight} outside (0, 1]", e.weight)
+            )
+    sums: dict[str, Fraction] = {}
+    for e in ordered:
+        sums[e.source] = sums.get(e.source, Fraction(0)) + e.weight
+    for source, total in sorted(sums.items()):
+        if total != 1:
+            message = f"outgoing weights of source {source!r} sum to {total}, expected exactly 1"
+            findings.append(Finding("error", "weight_sum_not_one", source, message, total))
+    return ValidationReport(tuple(findings))
+
+
+def assert_rows_are_the_crossmaps_own(crossmap: Crossmap) -> None:
+    """``outgoing`` equals a groupby over the edges, order included, and holds the crossmap's own edges."""
+    expected = {s: tuple(es) for s, es in groupby(crossmap.edges, key=lambda e: e.source)}
+    assert list(crossmap.outgoing.items()) == list(expected.items())
+    assert all(a is b for s, row in expected.items() for a, b in zip(crossmap.outgoing[s], row))
+
+
+DRAFT_WEIGHTS = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1, 3), HALF, Fraction(2, 3), ONE]),
+    st.fractions(min_value=-1, max_value=2, max_denominator=6),
+)
+DRAFT_EDGES = st.lists(
+    st.builds(Edge, st.sampled_from("abc"), st.sampled_from("xyz"), DRAFT_WEIGHTS),
+    max_size=8,
+)
+
+
 class TestBuildCrossmap:
     def test_country_table_is_valid(self):
         built = build_crossmap(country_draft())
@@ -284,6 +328,21 @@ class TestBuildCrossmap:
         crossmap = random_crossmap(random.Random(seed))
         for source in crossmap.sources:
             assert sum(e.weight for e in crossmap.outgoing[source]) == ONE
+
+    @given(DRAFT_EDGES)
+    @example([])
+    @example([Edge("a", "x", HALF), Edge("a", "x", Fraction(3, 2)), Edge("a", "x", Fraction(-1))])
+    def test_validate_draft_matches_a_plain_reference(self, edges):
+        report = validate_draft(EdgeListDraft(edges))
+        assert report == reference_report(edges)
+        if report.ok:
+            assert_rows_are_the_crossmaps_own(Crossmap(edges))
+
+    @given(st.integers(0, 10_000), st.randoms(use_true_random=False))
+    def test_outgoing_rows_are_the_crossmaps_own_edges(self, seed, shuffler):
+        edges = list(random_crossmap(random.Random(seed), max_sources=6, max_targets=6).edges)
+        shuffler.shuffle(edges)
+        assert_rows_are_the_crossmaps_own(Crossmap(edges))
 
     def test_incoming_groups_sources_by_target(self):
         built = build_crossmap(country_draft())

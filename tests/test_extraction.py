@@ -172,6 +172,23 @@ class TestInProcessProbing:
         assert result.crossmap == crossmap
         assert result.tolerance_used == Fraction(tolerance)
 
+    def test_output_exactly_at_tolerance_counts_as_zero(self):
+        tol = Fraction(1, 1000)
+        target = InProcessTransform(lambda array: MassArray({"t": array["s"], "u": array["s"] * tol}))
+        result = probe_blackbox(target, ["s"], tolerance=tol)
+        assert result.crossmap == Crossmap([Edge("s", "t", ONE)])
+
+    def test_tolerance_exponent_at_the_digit_limit_is_built_then_too_long(self):
+        # An exponent equal to the limit is not refused unbuilt; its
+        # 4301-digit denominator is then refused as too long to print.
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        try:
+            with pytest.raises(ValueTooLongError):
+                extraction._exact_tolerance("1e-4300")
+        finally:
+            sys.set_int_max_str_digits(limit)
+
     def test_nondeterminism_detected(self):
         outputs = iter(
             [MassArray({"t": Fraction(1)}), MassArray({"t": Fraction(1, 2), "u": Fraction(1, 2)})]
@@ -226,6 +243,13 @@ class TestSnapping:
         result = probe_blackbox(self.truncated_thirds(), ["s"])
         assert result.crossmap is None
         assert result.nonconforming_sources == (("s", Fraction(999999, 1000000)),)
+
+    def test_snap_moving_a_weight_by_exactly_tolerance_is_applied(self):
+        # 333/1000 snaps to 1/3 under a bound of 3, a move of exactly 1/3000.
+        w = Fraction(333, 1000)
+        target = InProcessTransform(lambda array: MassArray({f"t{i}": array["s"] * w for i in range(3)}))
+        result = probe_blackbox(target, ["s"], tolerance=Fraction(1, 3000), rationalize_max_denominator=3)
+        assert result.crossmap == Crossmap([Edge("s", f"t{i}", Fraction(1, 3)) for i in range(3)])
 
     def test_snap_outside_tolerance_is_not_applied(self):
         # Snapping 0.333333 to 1/3 moves it by ~3.3e-7, above a 1e-9 gate.

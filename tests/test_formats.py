@@ -256,6 +256,12 @@ class TestQuoting:
             reader(io.StringIO(f"{header}\nA,B,1\n\"b\nc\x00\",x,1\n"))
         assert excinfo.value.problems == ((4, "line contains NUL"),)
 
+    def test_crlf_inside_a_quoted_field_reads_as_one_newline(self):
+        # The universal-newline reading a file opened in text mode gets, for a
+        # stream too: the key carries "\n", never the "\r" clean_key refuses.
+        draft = read_edge_list(io.StringIO('from,to,weight\r\n"a\r\nb",x,1\r\n'))
+        assert [(e.source, e.target, e.weight) for e in draft.edges] == [("a\nb", "x", ONE)]
+
 
 def per_row_reference(header: list[str], rows) -> str:
     """The writers' bytes, written one ``writerow`` call at a time."""
