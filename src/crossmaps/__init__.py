@@ -26,8 +26,7 @@ _EXPORTS = {
         "identity_crossmap", "parse_rational", "render_rational", "validate_draft",
     ),
     "extraction": (
-        "BlackboxTransform", "ExternalCommandTransform", "ExtractionResult", "InProcessTransform", "probe_blackbox",
-        "rationalize",
+        "ExternalCommandTransform", "ExtractionResult", "InProcessTransform", "probe_blackbox", "rationalize",
     ),
     "formats": (
         "ParseError", "SplitPolicy", "export_dot", "import_crosswalk", "read_array", "read_crosswalk",
@@ -39,7 +38,7 @@ _EXPORTS = {
     ),
     "transform": (
         "CoverageError", "MissingValueError", "NegativeMassError", "TransformOptions", "TransformReceipt",
-        "append_keys", "apply_sequence", "apply_transform", "drop_keys",
+        "apply_sequence", "apply_transform",
     ),
     "validation": ("CoverageReport", "check_array", "check_coverage", "check_mass_preserving"),
 }

@@ -1,9 +1,9 @@
 """Matrix view of crossmaps: encoding, dense products, composition, reversal.
 
-The dense matrix encoding exists as an oracle and export form, not the
-production path — crossmaps are sparse, and the edge-list transform is the
-one that scales.  Keeping both lets every transform result be checked
-against an independent dense matrix-vector product with exact equality.
+The dense matrix encoding exists as an oracle, not the production path —
+crossmaps are sparse, and the edge-list transform is the one that scales.
+Keeping both lets every transform result be checked against an
+independent dense matrix-vector product with exact equality.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .core import (
     ZERO,
     _Record,
     _exact_pairs,
-    render_rational,
 )
 
 __all__ = _EXPORTS["algebra"]
@@ -56,17 +55,6 @@ class MatrixEncoding(_Record):
         object.__setattr__(self, "row_keys", row_keys)
         object.__setattr__(self, "col_keys", col_keys)
         object.__setattr__(self, "cells", cells)
-
-    def row_sums(self) -> tuple[Fraction, ...]:
-        """The product with the all-ones vector; all ones for a valid crossmap."""
-        return tuple(sum(row, ZERO) for row in self.cells)
-
-    def to_csv(self) -> str:
-        """Grid as CSV with key headers and exact cells, row-major."""
-        lines = ["," + ",".join(self.col_keys)]
-        for key, row in zip(self.row_keys, self.cells):
-            lines.append(key + "," + ",".join(render_rational(c) for c in row))
-        return "\n".join(lines) + "\n"
 
 
 def to_matrix(crossmap: Crossmap) -> MatrixEncoding:

@@ -177,8 +177,8 @@ def _exact_pairs(terms: Iterable[tuple[K, int, int]]) -> dict[K, list[int]]:
     which only ever grows to the lcm of its term denominators: a term whose
     denominator divides it is scaled up to it, any other term rescales the
     sum to the lcm.  The sums come back as unreduced ``[numerator,
-    denominator]`` pairs, with no ``Fraction`` object and no gcd per term;
-    the denominator stays positive.  Keys keep first-seen order.
+    denominator]`` pairs, with no ``Fraction`` object and no reduction per
+    term; the denominator stays positive.  Keys keep first-seen order.
     """
     acc: dict[K, list[int]] = {}
     for key, n, d in terms:
@@ -190,9 +190,6 @@ def _exact_pairs(terms: Iterable[tuple[K, int, int]]) -> dict[K, list[int]]:
         g = gcd(common, d)
         if g == d:
             pair[0] += n * (common // d)
-        elif g == 1:
-            pair[0] = pair[0] * d + n * common
-            pair[1] = common * d
         else:
             pair[0] = pair[0] * (d // g) + n * (common // g)
             pair[1] = common // g * d
@@ -208,8 +205,6 @@ def _add_ratio(n: int, d: int, m: int, e: int) -> tuple[int, int]:
     g = gcd(d, e)
     if g == e:
         return n + m * (d // e), d
-    if g == 1:
-        return n * e + m * d, d * e
     return n * (e // g) + m * (d // g), d // g * e
 
 

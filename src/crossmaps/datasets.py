@@ -1,35 +1,14 @@
-"""Bundled example crossmaps used in documentation and tests."""
+"""The bundled occupation crossmap, used in documentation, tests and the benchmark."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 from importlib.resources import files
 
-from .core import Crossmap, Edge, ONE
+from .core import Crossmap
 from .formats import read_edge_list
 
-__all__ = ["country_recode", "occupation_recode", "occupation_recode_path"]
-
-HALF = Fraction(1, 2)
-
-
-def country_recode() -> Crossmap:
-    """Small mixed example: one split, one merge, one identity.
-
-    Recodes legacy country aggregates: the Belgium-Luxembourg combination
-    is split evenly, the two German states merge, and Australia passes
-    through unchanged.
-    """
-    return Crossmap(
-        [
-            Edge("BLX", "BEL", HALF),
-            Edge("BLX", "LUX", HALF),
-            Edge("E.GER", "DEU", ONE),
-            Edge("W.GER", "DEU", ONE),
-            Edge("AUS", "AUS", ONE),
-        ]
-    )
+__all__ = ["occupation_recode", "occupation_recode_path"]
 
 
 def occupation_recode_path() -> str:

@@ -85,9 +85,6 @@ class ExternalCommandTransform(_Record):
             raise ProbeError(f"unparsable output from {self.argv[0]!r}: {exc}") from exc
 
 
-BlackboxTransform = InProcessTransform | ExternalCommandTransform
-
-
 class ExtractionResult(_Record):
     """Everything a probe session learned.
 
@@ -162,7 +159,7 @@ def _identity_probe(keys: tuple[str, ...], hot: str) -> MassArray:
 
 
 def probe_blackbox(
-    transform: BlackboxTransform,
+    transform: InProcessTransform | ExternalCommandTransform,
     source_keys: Sequence[str],
     tolerance: Fraction | str | int = Fraction(1, 10**9),
     rationalize_max_denominator: int | None = None,

@@ -334,7 +334,7 @@ def export_dot(crossmap: Crossmap) -> str:
         lines.append(f"    {{ rank=same; {target_rank} }}")
         for edge in component.edges:
             head = f"    {_dot_quote('src:' + edge.source)} -> {_dot_quote('tgt:' + edge.target)}"
-            if len(crossmap.outgoing[edge.source]) > 1:
+            if edge.weight != ONE:
                 label = _dot_quote(render_rational(edge.weight))
                 lines.append(f"{head} [style=dashed, label={label}];")
             else:

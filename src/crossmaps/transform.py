@@ -14,7 +14,7 @@ redistributes mass, never creates or destroys it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Literal, Mapping, Sequence
+from typing import Literal, Sequence
 
 from . import _EXPORTS
 from .core import (
@@ -24,8 +24,6 @@ from .core import (
     ZERO,
     _Record,
     _exact_sums,
-    _exact_total,
-    clean_key,
     render_rational,
 )
 from .validation import CoverageReport, check_array, check_coverage
@@ -211,27 +209,3 @@ def apply_sequence(
             raise CoverageError(exc.uncovered_keys, exc.mass_at_risk, step=step) from None
         receipts.append(receipt)
     return current, tuple(receipts)
-
-
-def drop_keys(array: MassArray, keys: set[str] | frozenset[str] | tuple[str, ...]) -> tuple[MassArray, Fraction]:
-    """Remove entries for the given keys, reporting the removed mass.
-
-    The sanctioned way to discard unwanted categories before a transform;
-    the returned mass makes the removal auditable rather than silent.
-    Missing entries can be dropped too and contribute nothing to the total.
-    """
-    to_drop = {clean_key(k) for k in keys}
-    kept = {k: v for k, v in array.items() if k not in to_drop}
-    dropped_mass = _exact_total(v for k, v in array.items() if k in to_drop and v is not None)
-    return MassArray._from_clean(kept), dropped_mass
-
-
-def append_keys(array: MassArray, new_entries: Mapping[str, Fraction | int]) -> MassArray:
-    """Attach new categories after a transform; colliding keys are an error."""
-    additions = {clean_key(k): v for k, v in new_entries.items()}
-    collisions = sorted(set(array) & set(additions))
-    if collisions:
-        raise ValueError(f"keys already present: {', '.join(collisions)}")
-    merged: dict[str, Fraction | None] = dict(array.items())
-    merged.update(additions)
-    return MassArray(merged)

@@ -1,4 +1,4 @@
-"""Shared generators for randomised tests.
+"""Shared fixtures and generators for randomised tests.
 
 Random crossmaps are built directly from the definition: pick target
 subsets per source, then weights as n_i / sum(n) over random positive
@@ -11,6 +11,25 @@ import random
 from fractions import Fraction
 
 from crossmaps.core import Crossmap, Edge, MassArray
+
+
+def country_crossmap() -> Crossmap:
+    """Small mixed example: one split, one merge, one identity.
+
+    Recodes legacy country aggregates: the Belgium-Luxembourg combination
+    is split evenly, the two German states merge, and Australia passes
+    through unchanged.  The README's library tour builds the same map.
+    """
+    half = Fraction(1, 2)
+    return Crossmap(
+        [
+            Edge("BLX", "BEL", half),
+            Edge("BLX", "LUX", half),
+            Edge("E.GER", "DEU", 1),
+            Edge("W.GER", "DEU", 1),
+            Edge("AUS", "AUS", 1),
+        ]
+    )
 
 
 def random_crossmap(

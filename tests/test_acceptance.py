@@ -24,7 +24,7 @@ from crossmaps.core import (
     build_crossmap,
     identity_crossmap,
 )
-from crossmaps.datasets import country_recode, occupation_recode
+from crossmaps.datasets import occupation_recode
 from crossmaps.extraction import (
     ExternalCommandTransform,
     InProcessTransform,
@@ -42,7 +42,7 @@ from crossmaps.formats import (
 from crossmaps.graph import components, summarize
 from crossmaps.transform import TransformOptions, apply_transform
 
-from helpers import random_chain, random_crossmap, random_mass_array
+from helpers import country_crossmap, random_chain, random_crossmap, random_mass_array
 from occupation_fixture import EXPECTED_INCOMING_COUNTS, occupation_crossmap_from_rules
 
 ONE = Fraction(1)
@@ -64,7 +64,7 @@ def criterion(number: int, label: str):
 def test_criterion_1_country_fixture():
     with criterion(1, "country fixture reproduces exactly, totals 157 == 157, < 1 s"):
         started = time.perf_counter()
-        crossmap = country_recode()
+        crossmap = country_crossmap()
         array = MassArray({"BLX": 10, "E.GER": 3, "W.GER": 4, "AUS": 140})
         output, receipt = apply_transform(crossmap, array)
         assert dict(output.items()) == {
@@ -225,7 +225,7 @@ def test_criterion_9_floating_point_immunity():
 
 def test_criterion_10_format_round_trips(tmp_path):
     with criterion(10, "edge-list, array, crosswalk read/write byte-identical; DOT deterministic"):
-        crossmap = country_recode()
+        crossmap = country_crossmap()
         edge_text = write_edge_list(crossmap)
         edges_file = tmp_path / "edges.csv"
         edges_file.write_text(edge_text, encoding="utf-8")
@@ -243,7 +243,7 @@ def test_criterion_10_format_round_trips(tmp_path):
         walk_file.write_text(walk_text, encoding="utf-8")
         assert write_crosswalk(read_crosswalk(walk_file)) == walk_text
 
-        assert export_dot(crossmap) == export_dot(country_recode())
+        assert export_dot(crossmap) == export_dot(country_crossmap())
         assert export_dot(Crossmap(reversed(crossmap.edges))) == export_dot(crossmap)
 
         ident = identity_crossmap(["a", "b"])

@@ -28,7 +28,7 @@ from crossmaps.core import (
 from crossmaps.datasets import occupation_recode
 from crossmaps.transform import apply_transform
 
-from helpers import random_chain, random_crossmap
+from helpers import country_crossmap, random_chain, random_crossmap
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -36,15 +36,7 @@ HALF = Fraction(1, 2)
 
 @pytest.fixture
 def country_map() -> Crossmap:
-    return Crossmap(
-        [
-            Edge("BLX", "BEL", HALF),
-            Edge("BLX", "LUX", HALF),
-            Edge("E.GER", "DEU", ONE),
-            Edge("W.GER", "DEU", ONE),
-            Edge("AUS", "AUS", ONE),
-        ]
-    )
+    return country_crossmap()
 
 
 class TestToMatrix:
@@ -61,7 +53,7 @@ class TestToMatrix:
         )
 
     def test_row_sums_are_all_ones(self, country_map):
-        assert to_matrix(country_map).row_sums() == (ONE, ONE, ONE, ONE)
+        assert tuple(sum(row) for row in to_matrix(country_map).cells) == (ONE, ONE, ONE, ONE)
 
     def test_identity_grid(self):
         matrix = to_matrix(identity_crossmap(["a", "b", "c"]))
@@ -71,7 +63,7 @@ class TestToMatrix:
     @given(st.integers(0, 10_000))
     def test_row_sums_property(self, seed):
         crossmap = random_crossmap(random.Random(seed))
-        assert all(s == ONE for s in to_matrix(crossmap).row_sums())
+        assert all(sum(row) == ONE for row in to_matrix(crossmap).cells)
 
     @given(st.integers(0, 10_000))
     def test_nonzero_cells_are_exactly_the_edges(self, seed):
@@ -84,11 +76,6 @@ class TestToMatrix:
             if cell != 0
         }
         assert cells == {(e.source, e.target): e.weight for e in crossmap.edges}
-
-    def test_csv_export(self, country_map):
-        text = to_matrix(country_map).to_csv()
-        assert text.splitlines()[0] == ",AUS,BEL,DEU,LUX"
-        assert text.splitlines()[2] == "BLX,0,1/2,0,1/2"
 
 
 class TestMatvec:
@@ -256,7 +243,7 @@ class TestCompose:
     @given(st.integers(0, 5_000))
     def test_product_is_row_stochastic(self, seed):
         a, b = random_chain(random.Random(seed), length=2, max_keys=6)
-        assert all(s == ONE for s in to_matrix(compose(a, b)).row_sums())
+        assert all(sum(row) == ONE for row in to_matrix(compose(a, b)).cells)
 
 
 class TestReverse:

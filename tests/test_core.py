@@ -32,7 +32,7 @@ from crossmaps.core import (
 )
 from crossmaps.extraction import InProcessTransform, probe_blackbox
 from crossmaps.formats import import_crosswalk, read_array, read_edge_list
-from crossmaps.transform import TransformOptions, apply_transform, drop_keys
+from crossmaps.transform import TransformOptions, apply_transform
 
 from helpers import random_chain, random_crossmap, random_mass_array
 
@@ -463,14 +463,6 @@ class TestLibraryBuiltArrays:
         out, _ = apply_transform(crossmap, array, TransformOptions(emit_zero_targets=emit_zero_targets))
         assert not entry_checks
         assert_canonical(out)
-
-    def test_drop_keys(self, entry_checks):
-        array = MassArray({"c": 3, "a": 1, "b": None})
-        entry_checks.clear()
-        kept, dropped = drop_keys(array, {"a"})
-        assert not entry_checks
-        assert (dict(kept.items()), dropped) == ({"b": None, "c": Fraction(3)}, ONE)
-        assert_canonical(kept)
 
     def test_probe_session(self, entry_checks):
         crossmap = random_crossmap(random.Random(11), max_sources=8, max_targets=8)

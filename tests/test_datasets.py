@@ -5,14 +5,15 @@ from __future__ import annotations
 from pathlib import Path
 
 from crossmaps.core import Crossmap
-from crossmaps.datasets import country_recode, occupation_recode, occupation_recode_path
+from crossmaps.datasets import occupation_recode, occupation_recode_path
 from crossmaps.formats import read_edge_list, write_edge_list
 
+from helpers import country_crossmap
 from occupation_fixture import occupation_crossmap_from_rules
 
 
 def test_country_recode_shape():
-    crossmap = country_recode()
+    crossmap = country_crossmap()
     assert crossmap.sources == ("AUS", "BLX", "E.GER", "W.GER")
     assert crossmap.targets == ("AUS", "BEL", "DEU", "LUX")
     assert crossmap.split_sources == ("BLX",)

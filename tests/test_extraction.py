@@ -23,7 +23,7 @@ from crossmaps.extraction import (
 from crossmaps.formats import write_edge_list
 from crossmaps.transform import TransformOptions, apply_transform
 
-from helpers import random_crossmap
+from helpers import country_crossmap, random_crossmap
 from occupation_fixture import banded_totals, occupation_crossmap_from_rules
 
 ONE = Fraction(1)
@@ -75,15 +75,7 @@ def transform_closure(crossmap: Crossmap) -> InProcessTransform:
 
 class TestInProcessProbing:
     def test_country_round_trip(self):
-        crossmap = Crossmap(
-            [
-                Edge("BLX", "BEL", Fraction(1, 2)),
-                Edge("BLX", "LUX", Fraction(1, 2)),
-                Edge("E.GER", "DEU", ONE),
-                Edge("W.GER", "DEU", ONE),
-                Edge("AUS", "AUS", ONE),
-            ]
-        )
+        crossmap = country_crossmap()
         result = probe_blackbox(transform_closure(crossmap), crossmap.sources)
         assert result.crossmap == crossmap
         assert result.nonconforming_sources == ()

@@ -356,6 +356,17 @@ class TestExportDot:
         shuffled = Crossmap(reversed(country_map().edges))
         assert export_dot(shuffled) == export_dot(country_map())
 
+    @given(st.integers(0, 10_000))
+    def test_dashed_edges_are_the_fractional_ones(self, seed):
+        crossmap = random_crossmap(random.Random(seed), max_sources=6, max_targets=6)
+        dot = export_dot(crossmap)
+        dashed = {line.strip() for line in dot.splitlines() if "style=dashed" in line}
+        assert dashed == {
+            f'"src:{e.source}" -> "tgt:{e.target}" [style=dashed, label="{e.weight}"];'
+            for e in crossmap.edges
+            if e.weight != 1
+        }
+
     def test_quotes_escaped(self):
         crossmap = Crossmap([Edge('he"llo', "a\\b", ONE)])
         dot = export_dot(crossmap)

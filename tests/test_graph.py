@@ -20,7 +20,7 @@ from crossmaps.graph import (
 )
 from crossmaps.transform import CoverageError, NegativeMassError
 
-from helpers import random_crossmap, random_mass_array
+from helpers import country_crossmap, random_crossmap, random_mass_array
 from occupation_fixture import (
     EXPECTED_INCOMING_COUNTS,
     occupation_crossmap_from_rules,
@@ -255,15 +255,7 @@ class TestImputationMetrics:
         assert metrics.split_source_count == 0
 
     def test_country_mass_all_on_split_source(self):
-        crossmap = Crossmap(
-            [
-                Edge("BLX", "BEL", HALF),
-                Edge("BLX", "LUX", HALF),
-                Edge("E.GER", "DEU", ONE),
-                Edge("W.GER", "DEU", ONE),
-                Edge("AUS", "AUS", ONE),
-            ]
-        )
+        crossmap = country_crossmap()
         array = MassArray({"BLX": 100, "AUS": 0, "E.GER": 0, "W.GER": 0})
         metrics = imputation_metrics(crossmap, array)
         assert metrics.realized_split_mass_share == ONE

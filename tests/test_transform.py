@@ -1,4 +1,4 @@
-"""The transform itself: exact redistribution, receipts, sequencing, key edits."""
+"""The transform itself: exact redistribution, receipts, sequencing."""
 
 from __future__ import annotations
 
@@ -16,13 +16,11 @@ from crossmaps.transform import (
     NegativeMassError,
     TransformOptions,
     TransformReceipt,
-    append_keys,
     apply_sequence,
     apply_transform,
-    drop_keys,
 )
 
-from helpers import random_chain, random_crossmap, random_mass_array
+from helpers import country_crossmap, random_chain, random_crossmap, random_mass_array
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -30,15 +28,7 @@ HALF = Fraction(1, 2)
 
 @pytest.fixture
 def country_map() -> Crossmap:
-    return Crossmap(
-        [
-            Edge("BLX", "BEL", HALF),
-            Edge("BLX", "LUX", HALF),
-            Edge("E.GER", "DEU", ONE),
-            Edge("W.GER", "DEU", ONE),
-            Edge("AUS", "AUS", ONE),
-        ]
-    )
+    return country_crossmap()
 
 
 class TestApplyTransform:
@@ -185,39 +175,3 @@ class TestApplySequence:
             apply_sequence([step0, step1], MassArray({"a": 5}))
         assert excinfo.value.step == 1
         assert excinfo.value.uncovered_keys == ("m",)
-
-
-class TestKeyEdits:
-    def test_drop_reports_mass(self):
-        array, dropped = drop_keys(MassArray({"a": 2, "b": 3}), {"a"})
-        assert dict(array.items()) == {"b": Fraction(3)}
-        assert dropped == Fraction(2)
-
-    def test_drop_nothing(self):
-        array = MassArray({"a": 2, "b": 3})
-        kept, dropped = drop_keys(array, set())
-        assert kept == array
-        assert dropped == 0
-
-    def test_drop_everything(self):
-        kept, dropped = drop_keys(MassArray({"a": 2, "b": 3}), {"a", "b"})
-        assert len(kept) == 0
-        assert dropped == Fraction(5)
-
-    def test_drop_missing_entry(self):
-        kept, dropped = drop_keys(MassArray({"a": None, "b": 3}), {"a"})
-        assert kept.missing_keys() == ()
-        assert dropped == 0
-
-    def test_append_new_keys(self):
-        array = append_keys(MassArray({"a": 1}), {"c": 0})
-        assert dict(array.items()) == {"a": Fraction(1), "c": Fraction(0)}
-
-    def test_append_collision_rejected(self):
-        with pytest.raises(ValueError):
-            append_keys(MassArray({"a": 1}), {"a": 2})
-
-    def test_append_adds_totals(self):
-        array = MassArray({"a": 1, "b": 2})
-        extended = append_keys(array, {"c": 4, "d": Fraction(1, 2)})
-        assert extended.total == array.total + Fraction(9, 2)
