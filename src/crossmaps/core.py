@@ -239,7 +239,10 @@ def clean_key(text: str) -> str:
 def _check_weight_type(weight: Fraction) -> Fraction:
     # Floats sneak inexactness into every downstream equality, and bool is an
     # int subclass the int branch would read as 1; refuse both rather than
-    # guessing what the caller meant.
+    # guessing what the caller meant.  An exact Fraction, the common case,
+    # returns before any isinstance test.
+    if type(weight) is Fraction:
+        return weight
     if isinstance(weight, (float, bool)):
         raise TypeError(f"weights must be Fraction or int, not {type(weight).__name__}; parse text with parse_rational")
     if isinstance(weight, int):
@@ -424,9 +427,12 @@ class MassArray(Mapping):
     @classmethod
     def _from_clean(cls, entries: dict[str, Fraction | None]) -> MassArray:
         # For entries the library built or already checked: keys stripped,
-        # non-empty and unique, values Fraction or None.  Only sorts them.
+        # non-empty and unique, values Fraction or None, and the dict already
+        # in sorted key order.  Checks and sorts nothing, and keeps the dict
+        # itself, so the caller must not change it afterwards.  A caller
+        # whose keys come in another order passes dict(sorted(...)).
         array = cls.__new__(cls)
-        object.__setattr__(array, "_entries", dict(sorted(entries.items())))
+        object.__setattr__(array, "_entries", entries)
         return array
 
     def __getitem__(self, key: str) -> Fraction | None:

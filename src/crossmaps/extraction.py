@@ -154,8 +154,10 @@ def _exact_tolerance(value: Fraction | int | str) -> Fraction:
     return tol
 
 
-def _identity_probe(keys: tuple[str, ...], hot: str) -> MassArray:
-    return MassArray._from_clean({k: (ONE if k == hot else ZERO) for k in keys})
+def _identity_probe(sorted_keys: tuple[str, ...], hot: str) -> MassArray:
+    entries = dict.fromkeys(sorted_keys, ZERO)
+    entries[hot] = ONE
+    return MassArray._from_clean(entries)
 
 
 def probe_blackbox(
@@ -192,9 +194,12 @@ def probe_blackbox(
     if not keys:
         raise ValueError("need at least one source key to probe")
     tol = _exact_tolerance(tolerance)
+    # Probes run in the caller's key order; each probe array holds the keys
+    # in sorted order, sorted once here.
+    sorted_keys = tuple(sorted(keys))
 
     def probe(hot: str) -> MassArray:
-        out = transform.run(_identity_probe(keys, hot))
+        out = transform.run(_identity_probe(sorted_keys, hot))
         if out.missing_keys():
             raise ProbeError(f"probe of {hot!r} produced missing values: {', '.join(out.missing_keys())}")
         return out

@@ -194,7 +194,7 @@ def read_array(source: str | Path | TextIO) -> MassArray:
             problems.append((lineno, str(exc)))
     if problems:
         raise ParseError(name, problems)
-    return MassArray._from_clean(entries)
+    return MassArray._from_clean(dict(sorted(entries.items())))
 
 
 def write_array(array: MassArray) -> str:

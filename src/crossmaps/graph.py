@@ -238,8 +238,8 @@ def imputation_metrics(crossmap: Crossmap, array: MassArray | None = None) -> Im
     if array is not None:
         from .transform import TransformOptions, _require_clean, _split_totals
 
-        _require_clean(crossmap, array, TransformOptions())
-        total, entering = _split_totals(crossmap, array)
+        coverage, covered = _require_clean(crossmap, array, TransformOptions())
+        total, entering = _split_totals(covered, coverage.mass_at_risk)
         realized = ZERO if total == ZERO else entering / total
     return ImputationMetrics(
         component_type_counts=_type_counts(crossmap),

@@ -14,16 +14,18 @@ redistributes mass, never creates or destroys it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Literal, Sequence
+from typing import Literal, NoReturn, Sequence
 
 from . import _EXPORTS
 from .core import (
     Crossmap,
     CrossmapError,
+    Edge,
     MassArray,
     ZERO,
     _Record,
     _exact_sums,
+    _exact_total,
     render_rational,
 )
 from .validation import CoverageReport, check_array, check_coverage
@@ -122,31 +124,62 @@ class TransformReceipt(_Record):
         }
 
 
-def _require_clean(crossmap: Crossmap, array: MassArray, options: TransformOptions) -> CoverageReport:
-    # The one place the array preconditions are enforced, in this order:
-    # missing values, negative masses (both as check_array classifies
-    # them), then coverage.
+_FULLY_COVERED = CoverageReport(conformable=True, uncovered_keys=(), mass_at_risk=ZERO)
+
+# A covered entry with nonzero mass: the source's row of edges and the mass
+# as its integer pair (numerator, denominator).
+_Covered = tuple[tuple[Edge, ...], int, int]
+
+
+def _refuse_flawed(array: MassArray) -> NoReturn:
+    # The refusal of an array holding a missing or a negative mass, as
+    # check_array classifies them: every missing key if there is one, else
+    # every negative key.
     findings = check_array(array)
     missing = tuple(f.subject for f in findings if f.code == "missing_value")
     if missing:
         raise MissingValueError(missing)
-    negative = tuple(f.subject for f in findings if f.code == "negative_value")
-    if negative:
-        raise NegativeMassError(negative)
+    raise NegativeMassError(tuple(f.subject for f in findings if f.code == "negative_value"))
+
+
+def _require_clean(
+    crossmap: Crossmap, array: MassArray, options: TransformOptions
+) -> tuple[CoverageReport, list[_Covered]]:
+    # The one place the array preconditions are enforced, in this order:
+    # missing values, negative masses, then coverage (as check_coverage
+    # reports it).  One pass reads each entry's mass and row once; the
+    # reports are built only when the pass finds something to refuse or
+    # drop.  Returns the coverage report and the covered entries with
+    # nonzero mass, in key order.
+    row_of = crossmap.outgoing.get
+    covered: list[_Covered] = []
+    uncovered = False
+    for key, mass in array.items():
+        if mass is None:
+            _refuse_flawed(array)
+        p, q = mass.as_integer_ratio()
+        if p < 0:
+            _refuse_flawed(array)
+        row = row_of(key)
+        if row is None:
+            uncovered = True
+        elif p:
+            covered.append((row, p, q))
+    if not uncovered:
+        return _FULLY_COVERED, covered
     coverage = check_coverage(crossmap, array)
-    if not coverage.conformable and options.on_uncovered == "error":
+    if options.on_uncovered == "error":
         raise CoverageError(coverage.uncovered_keys, coverage.mass_at_risk)
-    return coverage
+    return coverage, covered
 
 
-def _split_totals(crossmap: Crossmap, array: MassArray) -> tuple[Fraction, Fraction]:
-    # (total mass, mass on split sources) of an array with no missing
-    # values, in one pass; a key the crossmap does not cover counts toward
-    # the total only.
-    split = frozenset(crossmap.split_sources)
-    sums = _exact_sums((k in split, *m.as_integer_ratio()) for k, m in array.items() if m)
+def _split_totals(covered: list[_Covered], dropped: Fraction) -> tuple[Fraction, Fraction]:
+    # (total mass, mass on split sources) of _require_clean's covered
+    # entries plus the dropped mass, which counts toward the total only.  A
+    # source is split when its row has more than one edge.
+    sums = _exact_sums((len(row) > 1, p, q) for row, p, q in covered)
     split_mass = sums.get(True, ZERO)
-    return split_mass + sums.get(False, ZERO), split_mass
+    return split_mass + sums.get(False, ZERO) + dropped, split_mass
 
 
 def apply_transform(
@@ -160,34 +193,37 @@ def apply_transform(
     edges arriving at target k.  Raises :class:`CoverageError` for
     uncovered keys unless options say to drop them, in which case the
     dropped mass is reported in the receipt instead of vanishing.
+
+    Cost: one pass over the array, plus one term per edge of each covered
+    key with nonzero mass, so zeros cost little.  The refusal and drop
+    reports are built only when the call refuses or drops something.
     """
-    coverage = _require_clean(crossmap, array, options)
-    outgoing = crossmap.outgoing
+    coverage, covered = _require_clean(crossmap, array, options)
 
     def terms():
-        # mass * weight as an unreduced integer pair; a zero mass adds nothing.
-        for key, mass in array.items():
-            if mass and key in outgoing:
-                p, q = mass.as_integer_ratio()
-                for edge in outgoing[key]:
-                    n, d = edge.weight.as_integer_ratio()
-                    yield edge.target, p * n, q * d
+        # mass * weight as an unreduced integer pair.
+        for row, p, q in covered:
+            for edge in row:
+                n, d = edge.weight.as_integer_ratio()
+                yield edge.target, p * n, q * d
 
+    # Masses and weights are positive, so every accumulated sum is too:
+    # none is a zero to leave out.
     accumulated = _exact_sums(terms())
-    input_total, split_mass = _split_totals(crossmap, array)
+    input_total, split_mass = _split_totals(covered, coverage.mass_at_risk)
 
     if options.emit_zero_targets:
+        # crossmap.targets is sorted, so the entries come in key order.
         entries = {t: accumulated.get(t, ZERO) for t in crossmap.targets}
     else:
-        entries = {t: v for t, v in accumulated.items() if v != ZERO}
-    output = MassArray._from_clean(entries)
+        entries = dict(sorted(accumulated.items()))
     receipt = TransformReceipt(
         input_total=input_total,
-        output_total=output.total,
+        output_total=_exact_total(accumulated.values()),
         dropped_mass=coverage.mass_at_risk,
         split_mass=split_mass,
     )
-    return output, receipt
+    return MassArray._from_clean(entries), receipt
 
 
 def apply_sequence(

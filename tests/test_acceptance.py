@@ -40,7 +40,7 @@ from crossmaps.formats import (
     write_edge_list,
 )
 from crossmaps.graph import components, summarize
-from crossmaps.transform import TransformOptions, apply_transform
+from crossmaps.transform import apply_transform
 
 from helpers import country_crossmap, random_chain, random_crossmap, random_mass_array
 from occupation_fixture import EXPECTED_INCOMING_COUNTS, occupation_crossmap_from_rules

@@ -31,7 +31,7 @@ from crossmaps.core import (
     validate_draft,
 )
 from crossmaps.extraction import InProcessTransform, probe_blackbox
-from crossmaps.formats import import_crosswalk, read_array, read_edge_list
+from crossmaps.formats import import_crosswalk, read_array, read_edge_list, write_array
 from crossmaps.transform import TransformOptions, apply_transform
 
 from helpers import random_chain, random_crossmap, random_mass_array
@@ -440,8 +440,11 @@ def entry_checks(monkeypatch) -> Counter:
 
 
 def assert_canonical(array: MassArray) -> None:
+    """Iteration is in sorted key order, and the canonical CSV is what the sorting constructor gives."""
     assert list(array) == sorted(array)
-    assert array == MassArray(dict(array.items()))
+    rebuilt = MassArray(dict(array.items()))
+    assert array == rebuilt
+    assert write_array(array) == write_array(rebuilt)
 
 
 class TestLibraryBuiltArrays:
@@ -478,6 +481,49 @@ class TestLibraryBuiltArrays:
         # The recovered edges reuse the probed keys and exact weights unchecked.
         assert not entry_checks
         assert len(probes) == len(crossmap.sources) + 1
+        for array in probes + list(result.raw_weights.values()):
+            assert_canonical(array)
+
+
+class TestSortedEntriesContract:
+    """Every MassArray the library builds hands MassArray._from_clean entries already in key order."""
+
+    @given(st.integers(0, 10_000))
+    def test_read_array_of_shuffled_rows(self, seed):
+        rng = random.Random(seed)
+        keys = [f"k{rng.randint(0, 999)}" for _ in range(rng.randint(1, 20))]
+        values = {k: rng.choice(["NA", "0", "-3/4", f"{rng.randint(1, 99)}/{rng.randint(1, 9)}"]) for k in keys}
+        rows = [f"{k},{v}\n" for k, v in values.items()]
+        rng.shuffle(rows)
+        array = read_array(io.StringIO("key,value\n" + "".join(rows)))
+        assert_canonical(array)
+        assert write_array(array) == write_array(read_array(io.StringIO("key,value\n" + "".join(sorted(rows)))))
+
+    @given(st.integers(0, 10_000), st.booleans())
+    def test_apply_transform(self, seed, emit_zero_targets):
+        rng = random.Random(seed)
+        crossmap = random_crossmap(rng)
+        array = random_mass_array(rng, crossmap.sources, subset=True)
+        out, _ = apply_transform(crossmap, array, TransformOptions(emit_zero_targets=emit_zero_targets))
+        assert_canonical(out)
+
+    @given(st.integers(0, 10_000))
+    def test_probe_arrays_and_raw_weights(self, seed):
+        rng = random.Random(seed)
+        crossmap = random_crossmap(rng)
+        probes: list[MassArray] = []
+
+        def fn(array: MassArray) -> MassArray:
+            probes.append(array)
+            return apply_transform(crossmap, array)[0]
+
+        keys = list(crossmap.sources)
+        rng.shuffle(keys)
+        result = probe_blackbox(InProcessTransform(fn), keys)
+        assert result.crossmap == crossmap
+        # Probes follow the caller's key order; each probe array is sorted.
+        assert [next(k for k, v in p.items() if v) for p in probes] == [keys[0], *keys]
+        assert list(result.raw_weights) == keys
         for array in probes + list(result.raw_weights.values()):
             assert_canonical(array)
 

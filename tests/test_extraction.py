@@ -21,7 +21,7 @@ from crossmaps.extraction import (
     rationalize,
 )
 from crossmaps.formats import write_edge_list
-from crossmaps.transform import TransformOptions, apply_transform
+from crossmaps.transform import apply_transform
 
 from helpers import country_crossmap, random_crossmap
 from occupation_fixture import banded_totals, occupation_crossmap_from_rules

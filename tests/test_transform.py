@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from crossmaps.algebra import compose, matvec_dense, to_matrix
 from crossmaps.core import Crossmap, Edge, MassArray, identity_crossmap
+from crossmaps.graph import imputation_metrics
 from crossmaps.transform import (
     CoverageError,
     MissingValueError,
@@ -19,6 +20,7 @@ from crossmaps.transform import (
     apply_sequence,
     apply_transform,
 )
+from crossmaps.validation import check_array, check_coverage
 
 from helpers import country_crossmap, random_chain, random_crossmap, random_mass_array
 
@@ -126,6 +128,115 @@ class TestApplyTransform:
         array_b = MassArray([("W.GER", 4), ("E.GER", 3), ("AUS", 140), ("BLX", 10)])
         shuffled_map = Crossmap(reversed(country_map.edges))
         assert apply_transform(country_map, array_a) == apply_transform(shuffled_map, array_b)
+
+
+UNCOVERED_KEYS = ("u0", "u1", "u2")
+
+
+def random_mass(rng: random.Random, kinds: str) -> Fraction | None:
+    """An NA (``n``), negative (``-``), zero (``0``) or positive (``+``) mass, of a kind drawn from ``kinds``."""
+    kind = rng.choice(kinds)
+    if kind == "n":
+        return None
+    if kind == "0":
+        return Fraction(0)
+    value = Fraction(rng.randint(1, 999), rng.randint(1, 99))
+    return -value if kind == "-" else value
+
+
+def mixed_array(rng: random.Random, crossmap: Crossmap, kinds: str, uncovered: bool) -> MassArray:
+    keys = rng.sample(crossmap.sources, rng.randint(1, len(crossmap.sources)))
+    if uncovered:
+        keys += rng.sample(UNCOVERED_KEYS, rng.randint(1, len(UNCOVERED_KEYS)))
+    return MassArray({k: random_mass(rng, kinds) for k in keys})
+
+
+def implied_refusal(crossmap: Crossmap, array: MassArray) -> tuple[type, tuple[str, ...]] | None:
+    """The error check_array and then check_coverage imply: missing, then negative, then coverage."""
+    findings = check_array(array)
+    for code, error in (("missing_value", MissingValueError), ("negative_value", NegativeMassError)):
+        keys = tuple(f.subject for f in findings if f.code == code)
+        if keys:
+            return error, keys
+    coverage = check_coverage(crossmap, array)
+    return None if coverage.conformable else (CoverageError, coverage.uncovered_keys)
+
+
+def refusal(call) -> tuple[type, tuple[str, ...]] | None:
+    try:
+        call()
+    except CoverageError as exc:
+        return CoverageError, exc.uncovered_keys
+    except (MissingValueError, NegativeMassError) as exc:
+        return type(exc), exc.keys
+    return None
+
+
+class TestRefusalParity:
+    @given(st.integers(0, 20_000))
+    def test_transform_and_metrics_refuse_alike(self, seed):
+        rng = random.Random(seed)
+        crossmap = random_crossmap(rng)
+        kinds = rng.choice(["n-0+", "-0+", "0+", "n0+", "n-"])
+        array = mixed_array(rng, crossmap, kinds, uncovered=rng.random() < 0.5)
+        expected = implied_refusal(crossmap, array)
+        assert refusal(lambda: apply_transform(crossmap, array)) == expected
+        assert refusal(lambda: imputation_metrics(crossmap, array)) == expected
+        # Plainly: NA keys first, then negative keys, then keys without a row.
+        missing = tuple(k for k, v in array.items() if v is None)
+        negative = tuple(k for k, v in array.items() if v is not None and v < 0)
+        uncovered = tuple(k for k in array if k not in crossmap.sources)
+        plain = [
+            (error, keys)
+            for error, keys in ((MissingValueError, missing), (NegativeMassError, negative), (CoverageError, uncovered))
+            if keys
+        ]
+        assert expected == (plain[0] if plain else None)
+
+    @pytest.mark.parametrize(
+        "extra, expected",
+        [
+            ({"zz": 0}, (CoverageError, ("zz",))),
+            ({"zz": None}, (MissingValueError, ("zz",))),
+            ({"zz": None, "AUS": -1}, (MissingValueError, ("zz",))),
+            ({"zz": 0, "AUS": -1}, (NegativeMassError, ("AUS",))),
+            ({"AUS": None, "BLX": -1, "zz": 0, "yy": None}, (MissingValueError, ("AUS", "yy"))),
+        ],
+        ids=["uncovered_zero", "uncovered_na", "na_before_negative", "negative_before_coverage", "all_na_keys"],
+    )
+    def test_refusal_order(self, country_map, extra, expected):
+        array = MassArray({"AUS": 1, "BLX": 2, **extra})
+        assert implied_refusal(country_map, array) == expected
+        assert refusal(lambda: apply_transform(country_map, array)) == expected
+        assert refusal(lambda: imputation_metrics(country_map, array)) == expected
+
+
+class TestReceiptsAgainstPlainFractions:
+    @given(
+        st.integers(0, 20_000),
+        st.sampled_from(["error", "drop_and_report"]),
+        st.booleans(),
+    )
+    def test_receipt_and_output(self, seed, on_uncovered, emit_zero_targets):
+        rng = random.Random(seed)
+        crossmap = random_crossmap(rng)
+        array = mixed_array(rng, crossmap, "00+", uncovered=on_uncovered == "drop_and_report")
+        options = TransformOptions(emit_zero_targets=emit_zero_targets, on_uncovered=on_uncovered)
+        output, receipt = apply_transform(crossmap, array, options)
+
+        fan_out = {s: sum(1 for e in crossmap.edges if e.source == s) for s in crossmap.sources}
+        zero = Fraction(0)
+        assert receipt.input_total == sum((v for v in array.values() if v), zero)
+        assert receipt.dropped_mass == sum((v for k, v in array.items() if k not in fan_out), zero)
+        assert receipt.split_mass == sum((v for k, v in array.items() if fan_out.get(k, 0) > 1), zero)
+        assert receipt.output_total == sum(output.values(), zero)
+
+        padded = tuple(array.get(k) or zero for k in crossmap.sources)
+        expected = dict(zip(crossmap.targets, matvec_dense(to_matrix(crossmap), padded)))
+        if not emit_zero_targets:
+            expected = {t: v for t, v in expected.items() if v}
+        assert dict(output.items()) == expected
+        assert all(type(v) is Fraction for v in output.values())
 
 
 class TestReceipt:
