@@ -17,10 +17,11 @@ from .core import (
     CrossmapError,
     Edge,
     InvalidCrossmapError,
+    ONE,
     ValidationReport,
     ZERO,
     _Record,
-    _exact_pairs,
+    _add_ratio,
 )
 
 __all__ = _EXPORTS["algebra"]
@@ -94,32 +95,37 @@ def compose(first: Crossmap, second: Crossmap) -> Crossmap:
     Every target of ``first`` must be a source of ``second``.  The result's
     rows still sum to 1 (the product of row-stochastic matrices is
     row-stochastic), which construction re-asserts.  The work goes row by
-    row, over the rows validation built, and a weight passes unchanged
-    through a unit row (a single edge, weight 1) of either map: a source of
-    ``first`` with a single edge gets its target's row in ``second`` copied,
-    and a path through a single-edge row of ``second`` keeps the weight
-    object of its ``first`` edge.  Arithmetic happens only where a row of
-    ``second`` splits (a product) or where paths of one source meet at one
-    target (a sum).
+    row, over the rows validation built:
+
+    - a unit row (a single edge, weight 1) of either map passes weights
+      on unchanged: a source of ``first`` with a single edge gets its
+      target's row in ``second`` copied, and a path through a single-edge
+      row of ``second`` keeps the weight object of its ``first`` edge;
+    - a split source whose paths all reach one target gets that one edge
+      with weight exactly 1 and no arithmetic, because both rows on each
+      of its paths sum to 1;
+    - elsewhere a path through a split row of ``second`` is an unreduced
+      integer product, paths that meet at one target are summed as
+      integer pairs, and each such edge reduces to a ``Fraction`` once.
+
+    Sources come in ``first``'s order and each row sorted by target, which
+    is canonical order, so the result is validated once and not sorted
+    again.
     """
     rows = second.outgoing
     unmatched = tuple(t for t in first.targets if t not in rows)
     if unmatched:
         raise CompositionError(unmatched)
     new_edge = Edge._from_clean
-    edges: list[Edge | tuple[str, str]] = []
-    # Paths of one source that meet at one target are summed together at the
-    # end: their edge waits in ``edges`` as its (source, target) pair, and
-    # their terms, keyed by its index there, wait in ``meeting``.
-    meeting: list[tuple[int, int, int]] = []
+    edges: list[Edge] = []
     for source, lefts in first.outgoing.items():
         if len(lefts) == 1:
             for right in rows[lefts[0].target]:
                 edges.append(new_edge(source, right.target, right.weight))
             continue
-        # Each target's path weights.  A unit right row passes the left
-        # weight object on; a split one gives one integer product per edge.
-        reached: dict[str, list[Fraction]] = {}
+        # Each target's paths: the left weight object, passed on by a unit
+        # right row, or the integer pair (a*n, b*d) through a split one.
+        reached: dict[str, list[Fraction | tuple[int, int]]] = {}
         for left in lefts:
             rights = rows[left.target]
             if len(rights) == 1:
@@ -132,19 +138,23 @@ def compose(first: Crossmap, second: Crossmap) -> Crossmap:
             a, b = left.weight.as_integer_ratio()
             for right in rights:
                 n, d = right.weight.as_integer_ratio()
-                reached.setdefault(right.target, []).append(Fraction(a * n, b * d))
+                reached.setdefault(right.target, []).append((a * n, b * d))
+        if len(reached) == 1:
+            edges.append(new_edge(source, next(iter(reached)), ONE))
+            continue
         for target in sorted(reached):
-            weights = reached[target]
-            if len(weights) == 1:
-                edges.append(new_edge(source, target, weights[0]))
-                continue
-            index = len(edges)
-            edges.append((source, target))
-            for weight in weights:
-                meeting.append((index, *weight.as_integer_ratio()))
-    for index, (n, d) in _exact_pairs(meeting).items():
-        edges[index] = new_edge(*edges[index], Fraction(n, d))
-    return Crossmap(edges)
+            paths = reached[target]
+            if len(paths) == 1:
+                (path,) = paths
+                weight = Fraction(*path) if type(path) is tuple else path
+            else:
+                pairs = [p if type(p) is tuple else p.as_integer_ratio() for p in paths]
+                n, d = pairs[0]
+                for m, e in pairs[1:]:
+                    n, d = _add_ratio(n, d, m, e)
+                weight = Fraction(n, d)
+            edges.append(new_edge(source, target, weight))
+    return Crossmap._from_sorted(edges)
 
 
 def reverse(crossmap: Crossmap) -> Crossmap | ValidationReport:

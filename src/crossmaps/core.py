@@ -360,8 +360,19 @@ class Crossmap(_Record):
     outgoing: Mapping[str, tuple[Edge, ...]]
 
     def __init__(self, edges: Iterable[Edge]) -> None:
-        object.__setattr__(self, "edges", tuple(sorted(edges, key=_EDGE_ORDER)))
-        report, rows = _validate_edges(self.edges)
+        self._set_sorted(tuple(sorted(edges, key=_EDGE_ORDER)))
+
+    @classmethod
+    def _from_sorted(cls, edges: Iterable[Edge]) -> Crossmap:
+        # For edges the caller built in canonical (source, target) order.
+        # Skips only the sort: validation runs and raises as in __init__.
+        crossmap = object.__new__(cls)
+        crossmap._set_sorted(tuple(edges))
+        return crossmap
+
+    def _set_sorted(self, edges: tuple[Edge, ...]) -> None:
+        object.__setattr__(self, "edges", edges)
+        report, rows = _validate_edges(edges)
         if not report.ok:
             raise InvalidCrossmapError(report)
         object.__setattr__(self, "outgoing", rows)

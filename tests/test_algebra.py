@@ -184,18 +184,17 @@ class TestCompose:
 
     def test_unit_rows_copy_the_next_row_without_arithmetic(self, monkeypatch):
         summed, built = [], []
-        exact_pairs = algebra._exact_pairs
+        add_ratio = algebra._add_ratio
 
-        def spy_sums(terms):
-            terms = list(terms)
-            summed.extend(terms)
-            return exact_pairs(terms)
+        def spy_sums(n, d, m, e):
+            summed.append((n, d, m, e))
+            return add_ratio(n, d, m, e)
 
         def spy_fraction(*args):
             built.append(Fraction(*args))
             return built[-1]
 
-        monkeypatch.setattr(algebra, "_exact_pairs", spy_sums)
+        monkeypatch.setattr(algebra, "_add_ratio", spy_sums)
         monkeypatch.setattr(algebra, "Fraction", spy_fraction)
         quarter = Fraction(1, 4)
         first = Crossmap(
@@ -205,6 +204,8 @@ class TestCompose:
                 Edge("s", "m", HALF),
                 Edge("s", "n", quarter),
                 Edge("s", "p", Fraction(1, 4)),
+                Edge("c", "n", Fraction(1, 3)),
+                Edge("c", "q", Fraction(2, 3)),
             ]
         )
         second = Crossmap(
@@ -213,6 +214,7 @@ class TestCompose:
                 Edge("m", "y", Fraction(2, 3)),
                 Edge("n", "x", ONE),
                 Edge("p", "z", ONE),
+                Edge("q", "x", ONE),
             ]
         )
         composed = compose(first, second)
@@ -226,11 +228,33 @@ class TestCompose:
         assert s_row["z"] is first.outgoing["s"][2].weight
         # Only the split row m is multiplied (s -> x, s -> y), and only the two
         # paths meeting at x, one product and one passed-through 1/4, are summed.
-        assert sorted(Fraction(n, d) for _, n, d in summed) == [Fraction(1, 6), quarter]
-        assert len({key for key, _, _ in summed}) == 1
-        assert sorted(built) == [Fraction(1, 6), Fraction(1, 3), Fraction(5, 12)]
+        ((n, d, m, e),) = summed
+        assert sorted([Fraction(n, d), Fraction(m, e)]) == [Fraction(1, 6), quarter]
+        # Only the lone product s -> y and the sum at x build a Fraction.
+        assert sorted(built) == [Fraction(1, 3), Fraction(5, 12)]
         assert s_row == {"x": Fraction(5, 12), "y": Fraction(1, 3), "z": quarter}
+        # Both of c's paths end at x: the row collapses to one edge of weight
+        # exactly 1, with no product, no sum and no Fraction built.
+        (c_edge,) = composed.outgoing["c"]
+        assert (c_edge.target, c_edge.weight) == ("x", ONE)
+        assert c_edge.weight is core.ONE
         assert weights_of(composed) == all_paths_reference(first, second)
+
+    @pytest.mark.parametrize("onto_occupation", [False, True], ids=["layered", "onto_occupation"])
+    @given(seed=st.integers(0, 10_000))
+    def test_result_is_built_in_canonical_order(self, onto_occupation, seed):
+        rng = random.Random(seed)
+        if onto_occupation:
+            # Split rows onto occupation codes that share a target collapse.
+            second = occupation_recode()
+            first = layered_map(rng, [f"f{i}" for i in range(40)], list(second.sources), 0.5)
+        else:
+            layers = [[f"k{depth}_{i}" for i in range(rng.randint(2, 8))] for depth in range(3)]
+            first = layered_map(rng, layers[0], layers[1], 0.5)
+            second = layered_map(rng, first.targets, layers[2], 0.5)
+        composed = compose(first, second)
+        assert list(composed.edges) == sorted(composed.edges, key=lambda e: (e.source, e.target))
+        assert composed == Crossmap(list(composed.edges))
 
     def test_validates_its_result_once(self, monkeypatch):
         first, second = random_chain(random.Random(4))

@@ -375,6 +375,31 @@ class TestBuildCrossmap:
         assert isinstance(excinfo.value, ValueError)
         assert excinfo.value.report == build_crossmap(draft)
 
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [Edge("BLX", "BEL", HALF), Edge("BLX", "LUX", Fraction(2, 5))],
+            [Edge("a", "b", HALF), Edge("a", "b", HALF)],
+            [Edge("a", "b", Fraction(3, 2)), Edge("c", "d", ONE)],
+            [],
+        ],
+        ids=["unbalanced_row", "duplicate_pair", "out_of_range_weight", "empty"],
+    )
+    def test_from_sorted_validates_like_the_constructor(self, edges):
+        with pytest.raises(InvalidCrossmapError) as excinfo:
+            Crossmap._from_sorted(edges)
+        assert excinfo.value.report == validate_draft(EdgeListDraft(edges))
+
+    def test_from_sorted_keeps_sorted_edges_and_validates_once(self, monkeypatch):
+        expected = build_crossmap(country_draft())
+        calls = []
+        validate = core._validate_edges
+        monkeypatch.setattr(core, "_validate_edges", lambda edges: calls.append(edges) or validate(edges))
+        built = Crossmap._from_sorted(list(expected.edges))
+        assert built == expected
+        assert calls == [built.edges]
+        assert_rows_are_the_crossmaps_own(built)
+
 
 class TestIdentityCrossmap:
     def test_single_key(self):
