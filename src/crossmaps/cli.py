@@ -25,7 +25,6 @@ from .core import (
     CrossmapError,
     InvalidCrossmapError,
     ValidationReport,
-    build_crossmap,
     validate_draft,
 )
 from .formats import (
@@ -108,10 +107,11 @@ class _Refusal(CrossmapError):
 
 
 def _load_crossmap(args: argparse.Namespace, path: str) -> Crossmap:
-    built = build_crossmap(read_edge_list(_source(args, path)))
-    if isinstance(built, ValidationReport):
-        raise InvalidCrossmapError(built, subject=path)
-    return built
+    try:
+        return Crossmap(read_edge_list(_source(args, path)).edges)
+    except InvalidCrossmapError as exc:
+        exc.subject = path
+        raise
 
 
 def _report_lines(report: ValidationReport) -> str:

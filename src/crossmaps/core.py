@@ -44,6 +44,11 @@ class _Record:
     taking those fields in order, which sets them with ``object.__setattr__``.
     Only instances of one class compare equal.  Pickling and copying call the
     class on the field values, so the constructor's checks run again.
+
+    A record whose JSON document is its fields sets ``to_json_dict =
+    _Record._json_dict``: a key per field, in field order, where a ``Fraction``
+    becomes :func:`render_rational` text, a tuple a list, a dict a copy, and
+    any other value (``bool``, ``int``, ``str``, ``None``) stays as it is.
     """
 
     __slots__ = ()
@@ -67,6 +72,19 @@ class _Record:
     def __repr__(self) -> str:
         inner = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{self.__class__.__qualname__}({inner})"
+
+    def _json_dict(self) -> dict:
+        document = {}
+        for name in self._fields:
+            value = getattr(self, name)
+            if isinstance(value, Fraction):
+                value = render_rational(value)
+            elif isinstance(value, tuple):
+                value = list(value)
+            elif isinstance(value, dict):
+                value = dict(value)
+            document[name] = value
+        return document
 
     def __reduce__(self) -> tuple:
         return self.__class__, self._values()
@@ -309,14 +327,7 @@ class Finding(_Record):
         object.__setattr__(self, "message", message)
         object.__setattr__(self, "value", value)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "severity": self.severity,
-            "code": self.code,
-            "subject": self.subject,
-            "message": self.message,
-            "value": None if self.value is None else render_rational(self.value),
-        }
+    to_json_dict = _Record._json_dict
 
 
 class ValidationReport(_Record):

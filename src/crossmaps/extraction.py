@@ -27,6 +27,7 @@ from .core import (
     ProbeError,
     ZERO,
     _Record,
+    _check_weight_type,
     _exact_total,
     clean_key,
     render_rational,
@@ -126,28 +127,36 @@ def rationalize(value: Fraction | int | str, max_denominator: int) -> Fraction:
 
     Ties (the value sits exactly between two candidates) resolve toward
     the smaller denominator.  Text input is read as an exact base-10
-    value, so ``"0.333333"`` snaps to 1/3 under a bound of 100.
+    value, so ``"0.333333"`` snaps to 1/3 under a bound of 100; any
+    type other than Fraction, int or str raises ``TypeError``.
     """
-    return Fraction(value).limit_denominator(max_denominator)
+    return _exact(value, "value").limit_denominator(max_denominator)
+
+
+def _exact(value: Fraction | int | str, what: str) -> Fraction:
+    """A Fraction, an int or decimal text as an exact Fraction; ``what`` names ``value`` in errors.
+
+    Other types (float, bool, Decimal) are refused as weights are.  Text whose
+    exponent is over ``sys.get_int_max_str_digits()`` in magnitude is refused unbuilt.
+    """
+    if not isinstance(value, str):
+        try:
+            return _check_weight_type(value)
+        except TypeError:
+            raise TypeError(f"{what} must be Fraction, int or str, not {type(value).__name__}") from None
+    _, exp_mark, exponent = value.lower().partition("e")
+    limit = sys.get_int_max_str_digits()
+    if exp_mark and limit and abs(int(exponent)) > limit:
+        raise ValueError(f"{what} exponent is over {limit} in magnitude")
+    try:
+        return Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"{what} {value!r} has a zero denominator") from None
 
 
 def _exact_tolerance(value: Fraction | int | str) -> Fraction:
-    """``value`` as an exact, non-negative tolerance short enough to print in the result.
-
-    A float would be recorded as its binary double and True read as 1, so
-    both are refused.  Fraction expands a decimal exponent into an exact
-    integer, so text with a huge one is refused unbuilt.
-    """
-    if isinstance(value, (float, bool)):
-        raise TypeError(f"tolerance must be Fraction, int or str, not {type(value).__name__}")
-    _, exp_mark, exponent = value.lower().partition("e") if isinstance(value, str) else ("", "", "")
-    limit = sys.get_int_max_str_digits()
-    if exp_mark and limit and abs(int(exponent)) > limit:
-        raise ValueError(f"tolerance exponent is over {limit} in magnitude")
-    try:
-        tol = Fraction(value)
-    except ZeroDivisionError:
-        raise ValueError(f"tolerance {value!r} has a zero denominator") from None
+    """``value`` as an exact (see :func:`_exact`), non-negative tolerance short enough to print in the result."""
+    tol = _exact(value, "tolerance")
     if tol < ZERO:
         raise ValueError("tolerance must be non-negative")
     render_rational(tol)

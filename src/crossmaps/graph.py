@@ -212,18 +212,7 @@ class ImputationMetrics(_Record):
         object.__setattr__(self, "potential_split_share", potential_split_share)
         object.__setattr__(self, "realized_split_mass_share", realized_split_mass_share)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "component_type_counts": dict(self.component_type_counts),
-            "fractional_edge_count": self.fractional_edge_count,
-            "split_source_count": self.split_source_count,
-            "potential_split_share": render_rational(self.potential_split_share),
-            "realized_split_mass_share": (
-                None
-                if self.realized_split_mass_share is None
-                else render_rational(self.realized_split_mass_share)
-            ),
-        }
+    to_json_dict = _Record._json_dict
 
 
 def imputation_metrics(crossmap: Crossmap, array: MassArray | None = None) -> ImputationMetrics:

@@ -115,13 +115,7 @@ class TransformReceipt(_Record):
         object.__setattr__(self, "dropped_mass", dropped_mass)
         object.__setattr__(self, "split_mass", split_mass)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "input_total": render_rational(self.input_total),
-            "output_total": render_rational(self.output_total),
-            "dropped_mass": render_rational(self.dropped_mass),
-            "split_mass": render_rational(self.split_mass),
-        }
+    to_json_dict = _Record._json_dict
 
 
 _FULLY_COVERED = CoverageReport(conformable=True, uncovered_keys=(), mass_at_risk=ZERO)

@@ -31,12 +31,7 @@ class CoverageReport(_Record):
         object.__setattr__(self, "uncovered_keys", uncovered_keys)
         object.__setattr__(self, "mass_at_risk", mass_at_risk)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "conformable": self.conformable,
-            "uncovered_keys": list(self.uncovered_keys),
-            "mass_at_risk": render_rational(self.mass_at_risk),
-        }
+    to_json_dict = _Record._json_dict
 
 
 # The weight-sum rule as a standalone check: the one ``build_crossmap`` runs,

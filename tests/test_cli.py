@@ -251,6 +251,16 @@ class TestClassifySummarize:
         assert "DEU" in out and "edges: 5" in out
         assert "potential split share 1/4" in out
 
+    def test_summarize_table_elides_keys_past_the_display_limit(self, tmp_path, capsys):
+        sources = [f"s{i:02d}" for i in range(cli.SUMMARY_KEY_DISPLAY_LIMIT + 1)]
+        path = tmp_path / "many.csv"
+        edges = "".join(f"{s},t,1\n{s}x,u,1\n" for s in sources[:-1]) + f"{sources[-1]},t,1\n"
+        path.write_text("from,to,weight\n" + edges, encoding="utf-8")
+        assert main(["summarize", str(path)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert rows[1] == "t             11  " + ",".join(sources[:-1]) + ",..."
+        assert rows[2] == "u             10  " + ",".join(f"{s}x" for s in sources[:-1])
+
     def test_summarize_with_data_adds_realized_share(self, country_file, obs_file, capsys):
         assert main(["summarize", country_file, "--data", obs_file]) == 0
         assert "realized split mass share: 10/157" in capsys.readouterr().out

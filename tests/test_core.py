@@ -7,6 +7,7 @@ import random
 import re
 import sys
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 from itertools import groupby
 
@@ -167,12 +168,20 @@ class TestEdge:
         assert (edge.source, edge.target) == ("BLX", "BEL")
 
     def test_rejects_float_weight(self):
-        for weight in (0.5, True):
+        for weight in (0.5, True, "1/2", Decimal(1)):
             with pytest.raises(TypeError):
                 Edge("a", "b", weight)
 
     def test_int_weight_coerced_exactly(self):
         assert Edge("a", "b", 1).weight == Fraction(1)
+
+    def test_fraction_subclass_weight_kept_as_is(self):
+        class Tagged(Fraction):
+            pass
+
+        weight = Tagged(1, 2)
+        assert Edge("a", "b", weight).weight is weight
+        assert MassArray({"a": weight})["a"] is weight
 
     @pytest.mark.parametrize("blank", ["", " ", "\t\n"])
     def test_rejects_blank_keys(self, blank):
@@ -245,7 +254,7 @@ class TestBuildCrossmap:
         assert isinstance(built, Crossmap)
         assert built.sources == ("AUS", "BLX", "E.GER", "W.GER")
         assert built.targets == ("AUS", "BEL", "DEU", "LUX")
-        assert len(built.edges) == 5
+        assert len(built.edges) == len(built) == 5
 
     def test_bad_sum_reported_with_exact_total(self):
         draft = EdgeListDraft(
@@ -425,7 +434,7 @@ class TestIdentityCrossmap:
 
 class TestMassArray:
     def test_rejects_float(self):
-        for value in (0.5, True):
+        for value in (0.5, True, Decimal(1)):
             with pytest.raises(TypeError):
                 MassArray({"a": value})
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,6 +44,18 @@ def brute_force_nearest(x: Fraction, max_denominator: int) -> Fraction:
     return best[1]
 
 
+@pytest.fixture
+def no_fraction_from_exponent(monkeypatch):
+    """Fail the test the moment ``extraction`` builds a Fraction from text holding an exponent."""
+
+    def spy(*args):
+        if isinstance(args[0], str) and "e" in args[0].lower():
+            pytest.fail(f"built Fraction({args[0][:20]!r}...)")
+        return Fraction(*args)
+
+    monkeypatch.setattr(extraction, "Fraction", spy)
+
+
 class TestRationalize:
     def test_half(self):
         assert rationalize(Fraction(1, 2), 10) == Fraction(1, 2)
@@ -60,6 +73,16 @@ class TestRationalize:
     def test_bound_below_one_rejected(self):
         with pytest.raises(ValueError):
             rationalize(Fraction(1, 2), 0)
+
+    @pytest.mark.parametrize("text", ["1e-999999999", "1E+999999999"])
+    def test_huge_text_exponent_refused_unbuilt(self, text, no_fraction_from_exponent):
+        with pytest.raises(ValueError, match="exponent"):
+            rationalize(text, 100)
+
+    @pytest.mark.parametrize("value", [0.5, True, Decimal("0.5"), None], ids=["float", "bool", "decimal", "none"])
+    def test_inexact_or_unknown_type_refused(self, value):
+        with pytest.raises(TypeError, match="value must be Fraction, int or str"):
+            rationalize(value, 100)
 
     @given(
         st.fractions(min_value=-5, max_value=5, max_denominator=10_000),
@@ -99,6 +122,13 @@ class TestInProcessProbing:
         probe_blackbox(InProcessTransform(counted), crossmap.sources)
         assert calls == len(crossmap.sources) + 1
 
+    def test_no_source_keys_refused_before_any_probe(self):
+        def refuse(array: MassArray) -> MassArray:
+            pytest.fail("probed")
+
+        with pytest.raises(ValueError, match="at least one source key"):
+            probe_blackbox(InProcessTransform(refuse), [])
+
     @pytest.mark.parametrize("jobs, error", [(0, ValueError), (-3, ValueError), (True, TypeError), ("2", TypeError)])
     def test_bad_jobs_rejected_before_any_probe(self, jobs, error):
         crossmap = identity_crossmap(["a", "b"])
@@ -135,20 +165,14 @@ class TestInProcessProbing:
         ],
         ids=["unprintable", "huge_exponent", "zero_huge_exponent", "negative", "zero_denominator", "unprintable_fraction"],
     )
-    def test_bad_tolerance_rejected_before_any_probe(self, tolerance, error, monkeypatch):
-        def spy(*args):
-            if isinstance(args[0], str) and "e" in args[0]:
-                pytest.fail(f"built Fraction({args[0][:20]!r}...)")
-            return Fraction(*args)
-
+    def test_bad_tolerance_rejected_before_any_probe(self, tolerance, error, no_fraction_from_exponent):
         def refuse(array: MassArray) -> MassArray:
             pytest.fail("probed")
 
-        monkeypatch.setattr(extraction, "Fraction", spy)
         with pytest.raises(error):
             probe_blackbox(InProcessTransform(refuse), ["a"], tolerance=tolerance)
 
-    @pytest.mark.parametrize("tolerance", [1e-9, 0.0, True, False])
+    @pytest.mark.parametrize("tolerance", [1e-9, 0.0, True, False, Decimal("1e-9")])
     def test_inexact_tolerance_rejected_before_any_probe(self, tolerance):
         def refuse(array: MassArray) -> MassArray:
             pytest.fail("probed")

@@ -256,6 +256,21 @@ class TestQuoting:
             reader(io.StringIO(f"{header}\nA,B,1\n\"b\nc\x00\",x,1\n"))
         assert excinfo.value.problems == ((4, "line contains NUL"),)
 
+    @pytest.mark.parametrize(
+        ("reader", "header", "blank_second_field"),
+        [(read_array, "key,value", "malformed rational ' '"), (read_crosswalk, "from,to", "blank key")],
+        ids=["array", "crosswalk"],
+    )
+    def test_wrong_field_count_and_blank_key_reported_by_line(self, reader, header, blank_second_field):
+        with pytest.raises(ParseError) as excinfo:
+            reader(io.StringIO(f"{header}\na\nb,1,2\n ,1\nc,1\nd, \n"))
+        assert excinfo.value.problems == (
+            (2, "expected 2 fields, got 1"),
+            (3, "expected 2 fields, got 3"),
+            (4, "blank key"),
+            (6, blank_second_field),
+        )
+
     def test_crlf_inside_a_quoted_field_reads_as_one_newline(self):
         # The universal-newline reading a file opened in text mode gets, for a
         # stream too: the key carries "\n", never the "\r" clean_key refuses.

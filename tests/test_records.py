@@ -1,8 +1,9 @@
-"""Value semantics of the record types: equality, hash, repr, immutability, pickling and copying."""
+"""Value semantics of the record types: equality, hash, repr, immutability, pickling, copying and JSON documents."""
 
 from __future__ import annotations
 
 import copy
+import json
 import pickle
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from crossmaps.core import Crossmap, Edge, EdgeListDraft, MassArray, validate_dr
 from crossmaps.extraction import ExternalCommandTransform, InProcessTransform, probe_blackbox
 from crossmaps.graph import components, imputation_metrics, summarize
 from crossmaps.transform import TransformOptions, apply_transform
-from crossmaps.validation import check_coverage
+from crossmaps.validation import check_array, check_coverage
 
 HALF = Fraction(1, 2)
 
@@ -168,3 +169,99 @@ class TestMassArrayRecordRules:
         clone = pickle.loads(pickle.dumps(result))
         assert clone == result
         assert clone.raw_weights["b"] == {"x": HALF, "y": HALF}
+
+
+COUNTS = {"one_to_one": 0, "one_to_many": 0, "many_to_one": 0, "many_to_many": 1}
+
+# Library-built records and the exact documents their hand-written
+# to_json_dict methods returned, key order included.
+FIELD_DOCUMENTS = {
+    "finding_with_value": (
+        lambda: _bad_report().findings[0],
+        {
+            "severity": "error",
+            "code": "weight_out_of_range",
+            "subject": "b->x",
+            "message": "weight 3/2 outside (0, 1]",
+            "value": "3/2",
+        },
+    ),
+    "finding_without_value": (
+        lambda: validate_draft(EdgeListDraft([Edge("a", "x", HALF), Edge("a", "x", HALF)])).findings[0],
+        {
+            "severity": "error",
+            "code": "duplicate_edge",
+            "subject": "a->x",
+            "message": "duplicate edge (a, x)",
+            "value": None,
+        },
+    ),
+    "finding_missing_value": (
+        lambda: check_array(MassArray({"a": None}))[0],
+        {
+            "severity": "error",
+            "code": "missing_value",
+            "subject": "a",
+            "message": "'a' is missing (NA); replace it with zero explicitly before transforming",
+            "value": None,
+        },
+    ),
+    "receipt": (
+        lambda: apply_transform(_crossmap(), _array())[1],
+        {"input_total": "11/2", "output_total": "11/2", "dropped_mass": "0", "split_mass": "5/2"},
+    ),
+    "receipt_with_dropped_mass": (
+        lambda: apply_transform(
+            _crossmap(), MassArray({"a": 3, "z": Fraction(1, 3)}), TransformOptions(on_uncovered="drop_and_report")
+        )[1],
+        {"input_total": "10/3", "output_total": "3", "dropped_mass": "1/3", "split_mass": "0"},
+    ),
+    "coverage_with_uncovered_keys": (
+        lambda: check_coverage(_crossmap(), MassArray({"a": 1, "z": 2, "y": None})),
+        {"conformable": False, "uncovered_keys": ["y", "z"], "mass_at_risk": "2"},
+    ),
+    "coverage_fully_covered": (
+        lambda: check_coverage(_crossmap(), _array()),
+        {"conformable": True, "uncovered_keys": [], "mass_at_risk": "0"},
+    ),
+    "metrics_with_array": (
+        lambda: imputation_metrics(_crossmap(), _array()),
+        {
+            "component_type_counts": COUNTS,
+            "fractional_edge_count": 2,
+            "split_source_count": 1,
+            "potential_split_share": "1/2",
+            "realized_split_mass_share": "5/11",
+        },
+    ),
+    "metrics_without_array": (
+        lambda: imputation_metrics(_crossmap()),
+        {
+            "component_type_counts": COUNTS,
+            "fractional_edge_count": 2,
+            "split_source_count": 1,
+            "potential_split_share": "1/2",
+            "realized_split_mass_share": None,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIELD_DOCUMENTS))
+def test_field_documents_render_each_field_in_order(case):
+    make, expected = FIELD_DOCUMENTS[case]
+    record = make()
+    document = record.to_json_dict()
+    assert document == expected
+    assert json.dumps(document) == json.dumps(expected)  # key order too, nested dicts included
+    for name, value in document.items():
+        field = getattr(record, name)
+        if isinstance(field, dict):
+            assert value is not field  # a copy: changing the document leaves the record alone
+
+
+def test_only_report_records_have_documents():
+    documented = {"Finding", "ValidationReport", "TransformReceipt", "CoverageReport", "Component"}
+    documented |= {"CrossmapSummary", "ImputationMetrics", "ExtractionResult"}
+    for name, (make, _, _) in CASES.items():
+        assert hasattr(make(), "to_json_dict") == (name in documented), name
