@@ -30,15 +30,15 @@ __all__ = _EXPORTS["algebra"]
 class CompositionError(CrossmapError):
     """A chained pair is not conformable: intermediate keys lack instructions."""
 
-    def __init__(self, unmatched: tuple[str, ...]):
-        self.unmatched = unmatched
+    error = "composition"
+    _fields = ("unmatched_keys",)
+
+    def __init__(self, unmatched_keys: tuple[str, ...]):
+        self.unmatched_keys = unmatched_keys
         super().__init__(
             "cannot compose: intermediate keys not covered by the second crossmap: "
-            + ", ".join(unmatched)
+            + ", ".join(unmatched_keys)
         )
-
-    def to_json_dict(self) -> dict:
-        return {"error": "composition", "unmatched_keys": list(self.unmatched)}
 
 
 class MatrixEncoding(_Record):

@@ -98,6 +98,8 @@ def _emit(args: argparse.Namespace, text: str, extra: dict, trailer: str = "") -
 class _Refusal(CrossmapError):
     """A failure a handler finds itself, carrying its whole JSON document and its exit code."""
 
+    _fields = ("document", "exit_code")
+
     def __init__(self, document: dict, exit_code: int):
         super().__init__(document)
         self.document, self.exit_code = document, exit_code

@@ -48,7 +48,9 @@ class _Record:
     A record whose JSON document is its fields sets ``to_json_dict =
     _Record._json_dict``: a key per field, in field order, where a ``Fraction``
     becomes :func:`render_rational` text, a tuple a list, a dict a copy, and
-    any other value (``bool``, ``int``, ``str``, ``None``) stays as it is.
+    any other value (``bool``, ``int``, ``str``, ``None``) stays as it is.  Its
+    exact fields pass :func:`_check_weight_type` when built: an ``int`` becomes
+    a ``Fraction``, a float is refused, and equal records render equal documents.
     """
 
     __slots__ = ()
@@ -99,20 +101,33 @@ class _Record:
 class CrossmapError(Exception):
     """Base class for errors raised by this package.
 
-    ``to_json_dict`` is the failure's JSON document; by default its
-    ``"error"`` key is the subclass's ``error`` attribute.  ``exit_code``
-    is the status the command line exits with after writing that document.
+    ``_fields`` names the constructor's parameters in order, each stored under
+    its name: by default the ``message`` raised with.  Pickling and copying call
+    the class on them.  ``to_json_dict``, the failure's JSON document, is
+    ``"error"`` (the ``error`` attribute), then each field not ``None`` as
+    :meth:`_Record._json_dict` renders it, unless the subclass writes its own.
+    ``exit_code`` is the status the command line exits with after writing it.
     """
 
     error: str
     exit_code = 1
+    _fields: tuple[str, ...] = ("message",)
+    _values = _Record._values
+    __reduce__ = _Record.__reduce__
+
+    def __init__(self, message: str) -> None:
+        super().__init__(message)
+        self.message = message
 
     def to_json_dict(self) -> dict:
-        return {"error": self.error, "message": str(self)}
+        fields = _Record._json_dict(self).items()
+        return {"error": self.error, **{name: value for name, value in fields if value is not None}}
 
 
 class InvalidCrossmapError(CrossmapError, ValueError):
     """Edges that break a crossmap condition; ``report`` holds every finding, ``subject`` names the input."""
+
+    _fields = ("report", "subject")
 
     def __init__(self, report: ValidationReport, subject: str | None = None):
         self.report = report
@@ -121,10 +136,8 @@ class InvalidCrossmapError(CrossmapError, ValueError):
         super().__init__(f"invalid crossmap: {details}")
 
     def to_json_dict(self) -> dict:
-        out = {"error": "validation", **self.report.to_json_dict()}
-        if self.subject is not None:
-            out["subject"] = self.subject
-        return out
+        subject = {} if self.subject is None else {"subject": self.subject}
+        return {"error": "validation", **self.report.to_json_dict(), **subject}
 
 
 class ValueTooLongError(CrossmapError, ValueError):
@@ -255,18 +268,15 @@ def clean_key(text: str) -> str:
 
 
 def _check_weight_type(weight: Fraction) -> Fraction:
-    # Floats sneak inexactness into every downstream equality, and bool is an
-    # int subclass the int branch would read as 1; refuse both rather than
-    # guessing what the caller meant.  An exact Fraction, the common case,
-    # returns before any isinstance test.
+    # The rule for every exact value a caller hands in: floats sneak inexactness
+    # into every downstream equality, and bool is an int subclass that would read
+    # as 1.  An exact Fraction, the common case, returns before any isinstance test.
     if type(weight) is Fraction:
         return weight
-    if isinstance(weight, (float, bool)):
-        raise TypeError(f"weights must be Fraction or int, not {type(weight).__name__}; parse text with parse_rational")
-    if isinstance(weight, int):
+    if isinstance(weight, int) and not isinstance(weight, bool):
         return Fraction(weight)
     if not isinstance(weight, Fraction):
-        raise TypeError(f"weights must be Fraction or int, got {type(weight).__name__}")
+        raise TypeError(f"exact values must be Fraction or int, not {type(weight).__name__}; parse text with parse_rational")
     return weight
 
 
@@ -325,7 +335,7 @@ class Finding(_Record):
         object.__setattr__(self, "code", code)
         object.__setattr__(self, "subject", subject)
         object.__setattr__(self, "message", message)
-        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "value", value if value is None or type(value) is Fraction else _check_weight_type(value))
 
     to_json_dict = _Record._json_dict
 

@@ -47,6 +47,8 @@ SplitPolicy = Literal["reject_splits", "equal_split"]
 class ParseError(CrossmapError):
     """A file did not conform; every offending line is listed."""
 
+    _fields = ("filename", "problems")
+
     def __init__(self, filename: str, problems: list[tuple[int, str]]):
         self.filename = filename
         self.problems = tuple(problems)
@@ -54,11 +56,8 @@ class ParseError(CrossmapError):
         super().__init__(f"{filename}: {lines}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "error": "parse",
-            "file": self.filename,
-            "problems": [{"line": n, "message": msg} for n, msg in self.problems],
-        }
+        problems = [{"line": n, "message": msg} for n, msg in self.problems]
+        return {"error": "parse", "file": self.filename, "problems": problems}
 
 
 def _read_text(source: str | Path | TextIO) -> tuple[str, str]:

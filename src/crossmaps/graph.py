@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Literal, get_args
 
 from . import _EXPORTS
-from .core import Crossmap, Edge, MassArray, ONE, ZERO, _Record, render_rational
+from .core import Crossmap, Edge, MassArray, ONE, ZERO, _Record, _check_weight_type, render_rational
 
 __all__ = _EXPORTS["graph"]
 
@@ -146,14 +146,7 @@ class CrossmapSummary(_Record):
 
     def to_json_dict(self) -> dict:
         return {
-            "targets": [
-                {
-                    "target": row.target,
-                    "incoming_count": row.incoming_count,
-                    "incoming_keys": list(row.incoming_keys),
-                }
-                for row in self.target_rows
-            ],
+            "targets": [_Record._json_dict(row) for row in self.target_rows],
             "totals": {
                 "edges": self.edge_count,
                 "sources": self.source_count,
@@ -209,7 +202,9 @@ class ImputationMetrics(_Record):
         object.__setattr__(self, "component_type_counts", component_type_counts)
         object.__setattr__(self, "fractional_edge_count", fractional_edge_count)
         object.__setattr__(self, "split_source_count", split_source_count)
-        object.__setattr__(self, "potential_split_share", potential_split_share)
+        object.__setattr__(self, "potential_split_share", _check_weight_type(potential_split_share))
+        if realized_split_mass_share is not None:
+            realized_split_mass_share = _check_weight_type(realized_split_mass_share)
         object.__setattr__(self, "realized_split_mass_share", realized_split_mass_share)
 
     to_json_dict = _Record._json_dict

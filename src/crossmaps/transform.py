@@ -24,6 +24,7 @@ from .core import (
     MassArray,
     ZERO,
     _Record,
+    _check_weight_type,
     _exact_sums,
     _exact_total,
     render_rational,
@@ -36,29 +37,25 @@ __all__ = _EXPORTS["transform"]
 class CoverageError(CrossmapError):
     """The array holds keys the crossmap has no instructions for."""
 
+    error = "coverage"
+    _fields = ("uncovered_keys", "mass_at_risk", "step")
+
     def __init__(self, uncovered_keys: tuple[str, ...], mass_at_risk: Fraction, step: int | None = None):
         self.uncovered_keys = uncovered_keys
-        self.mass_at_risk = mass_at_risk
+        self.mass_at_risk = _check_weight_type(mass_at_risk)
         self.step = step
         where = "" if step is None else f" at step {step}"
         super().__init__(
             f"uncovered keys{where}: {', '.join(uncovered_keys)} "
-            f"(mass at risk {render_rational(mass_at_risk)})"
+            f"(mass at risk {render_rational(self.mass_at_risk)})"
         )
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "error": "coverage",
-            "uncovered_keys": list(self.uncovered_keys),
-            "mass_at_risk": render_rational(self.mass_at_risk),
-        }
-        if self.step is not None:
-            out["step"] = self.step
-        return out
 
 
 class MissingValueError(CrossmapError):
     """The array holds missing (NA) values; they must be resolved explicitly first."""
+
+    error = "missing_values"
+    _fields = ("keys",)
 
     def __init__(self, keys: tuple[str, ...]):
         self.keys = keys
@@ -66,19 +63,16 @@ class MissingValueError(CrossmapError):
             f"missing values on keys: {', '.join(keys)}; replace them with zeros explicitly before transforming"
         )
 
-    def to_json_dict(self) -> dict:
-        return {"error": "missing_values", "keys": list(self.keys)}
-
 
 class NegativeMassError(CrossmapError):
     """The array holds negative masses, which a shared total cannot contain."""
 
+    error = "negative_masses"
+    _fields = ("keys",)
+
     def __init__(self, keys: tuple[str, ...]):
         self.keys = keys
         super().__init__(f"negative masses on keys: {', '.join(keys)}")
-
-    def to_json_dict(self) -> dict:
-        return {"error": "negative_masses", "keys": list(self.keys)}
 
 
 class TransformOptions(_Record):
@@ -108,12 +102,12 @@ class TransformReceipt(_Record):
     def __init__(
         self, input_total: Fraction, output_total: Fraction, dropped_mass: Fraction, split_mass: Fraction
     ) -> None:
-        if input_total != output_total + dropped_mass:
+        object.__setattr__(self, "input_total", _check_weight_type(input_total))
+        object.__setattr__(self, "output_total", _check_weight_type(output_total))
+        object.__setattr__(self, "dropped_mass", _check_weight_type(dropped_mass))
+        object.__setattr__(self, "split_mass", _check_weight_type(split_mass))
+        if self.input_total != self.output_total + self.dropped_mass:
             raise ValueError("receipt does not balance: input_total != output_total + dropped_mass")
-        object.__setattr__(self, "input_total", input_total)
-        object.__setattr__(self, "output_total", output_total)
-        object.__setattr__(self, "dropped_mass", dropped_mass)
-        object.__setattr__(self, "split_mass", split_mass)
 
     to_json_dict = _Record._json_dict
 

@@ -155,7 +155,7 @@ class TestCompose:
         second = Crossmap([Edge("m", "z", ONE)])
         with pytest.raises(CompositionError) as excinfo:
             compose(first, second)
-        assert excinfo.value.unmatched == ("n",)
+        assert excinfo.value.unmatched_keys == ("n",)
 
     @given(st.integers(0, 5_000))
     def test_associative(self, seed):

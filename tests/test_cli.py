@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import copy
 import csv
 import errno
 import hashlib
 import io
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -711,6 +713,74 @@ def _error_samples() -> dict[type, CrossmapError]:
     }
 
 
+def _round_trip_samples() -> dict[str, CrossmapError]:
+    """Every exported error class, a CoverageError without a step, and the CLI's own refusal."""
+    samples = {cls.__name__: exc for cls, exc in _error_samples().items()}
+    samples["CoverageError_without_step"] = CoverageError(("k",), Fraction(3, 7))
+    samples["_Refusal"] = cli._Refusal({"error": "usage", "message": "no keys"}, 2)
+    return samples
+
+
+_VALIDATION_REPORT = {
+    "ok": False,
+    "findings": [
+        {
+            "severity": "error",
+            "code": "weight_sum_not_one",
+            "subject": "a",
+            "message": "outgoing weights of source 'a' sum to 1/2, expected exactly 1",
+            "value": "1/2",
+        }
+    ],
+}
+
+# Each error and its whole document, key order included.
+PINNED_DOCUMENTS = {
+    "composition": (
+        lambda: CompositionError(("m", "n")),
+        {"error": "composition", "unmatched_keys": ["m", "n"]},
+    ),
+    "coverage_with_step": (
+        lambda: CoverageError(("k",), Fraction(3), step=1),
+        {"error": "coverage", "uncovered_keys": ["k"], "mass_at_risk": "3", "step": 1},
+    ),
+    "coverage_without_step": (
+        lambda: CoverageError(("k", "l"), Fraction(3, 7)),
+        {"error": "coverage", "uncovered_keys": ["k", "l"], "mass_at_risk": "3/7"},
+    ),
+    "coverage_caller_int": (
+        lambda: CoverageError(("k",), 3),
+        {"error": "coverage", "uncovered_keys": ["k"], "mass_at_risk": "3"},
+    ),
+    "validation_with_subject": (
+        lambda: InvalidCrossmapError(validate_draft(EdgeListDraft([Edge("a", "b", Fraction(1, 2))])), subject="m.csv"),
+        {"error": "validation", **_VALIDATION_REPORT, "subject": "m.csv"},
+    ),
+    "validation_without_subject": (
+        lambda: InvalidCrossmapError(validate_draft(EdgeListDraft([Edge("a", "b", Fraction(1, 2))]))),
+        {"error": "validation", **_VALIDATION_REPORT},
+    ),
+    "missing_values": (lambda: MissingValueError(("k", "l")), {"error": "missing_values", "keys": ["k", "l"]}),
+    "negative_masses": (lambda: NegativeMassError(("k",)), {"error": "negative_masses", "keys": ["k"]}),
+    "parse": (
+        lambda: ParseError("m.csv", [(2, "blank key"), (3, "bad weight")]),
+        {
+            "error": "parse",
+            "file": "m.csv",
+            "problems": [{"line": 2, "message": "blank key"}, {"line": 3, "message": "bad weight"}],
+        },
+    ),
+    "probe": (
+        lambda: ProbeError("'cat' failed: exit status 4"),
+        {"error": "probe", "message": "'cat' failed: exit status 4"},
+    ),
+    "too_long": (
+        lambda: ValueTooLongError("exact value too long"),
+        {"error": "too_long", "message": "exact value too long"},
+    ),
+}
+
+
 class TestFailureDocuments:
     def test_every_exported_error_renders_a_document(self):
         samples = _error_samples()
@@ -723,6 +793,23 @@ class TestFailureDocuments:
         for exc in samples.values():
             document = json.loads(json.dumps(exc.to_json_dict()))
             assert isinstance(document["error"], str) and document["error"]
+
+    @pytest.mark.parametrize("case", sorted(PINNED_DOCUMENTS))
+    def test_error_document_is_pinned(self, case):
+        make, expected = PINNED_DOCUMENTS[case]
+        assert json.dumps(make().to_json_dict()) == json.dumps(expected)
+
+    def test_pinned_documents_cover_every_exported_error(self):
+        assert {type(make()) for make, _ in PINNED_DOCUMENTS.values()} == set(_error_samples())
+
+    @pytest.mark.parametrize("name", sorted(_round_trip_samples()))
+    def test_error_survives_pickle_and_copy(self, name):
+        exc = _round_trip_samples()[name]
+        for clone in (pickle.loads(pickle.dumps(exc)), copy.copy(exc), copy.deepcopy(exc)):
+            assert type(clone) is type(exc)
+            assert str(clone) == str(exc)
+            assert json.dumps(clone.to_json_dict()) == json.dumps(exc.to_json_dict())
+            assert clone.exit_code == exc.exit_code
 
     def test_invalid_crossmap_from_a_library_call_exits_one(self, country_file, tmp_path, capsys, monkeypatch):
         report = validate_draft(EdgeListDraft([Edge("a", "b", Fraction(1, 2))]))

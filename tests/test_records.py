@@ -1,4 +1,4 @@
-"""Value semantics of the record types: equality, hash, repr, immutability, pickling, copying and JSON documents."""
+"""Value semantics of the record types: equality, hash, repr, immutability, pickling, copying, JSON documents and exact fields."""
 
 from __future__ import annotations
 
@@ -8,13 +8,14 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from crossmaps.algebra import to_matrix
-from crossmaps.core import Crossmap, Edge, EdgeListDraft, MassArray, validate_draft
+from crossmaps.core import Crossmap, Edge, EdgeListDraft, Finding, MassArray, validate_draft
 from crossmaps.extraction import ExternalCommandTransform, InProcessTransform, probe_blackbox
-from crossmaps.graph import components, imputation_metrics, summarize
-from crossmaps.transform import TransformOptions, apply_transform
-from crossmaps.validation import check_array, check_coverage
+from crossmaps.graph import ImputationMetrics, components, imputation_metrics, summarize
+from crossmaps.transform import CoverageError, TransformOptions, TransformReceipt, apply_transform
+from crossmaps.validation import CoverageReport, check_array, check_coverage
 
 HALF = Fraction(1, 2)
 
@@ -265,3 +266,74 @@ def test_only_report_records_have_documents():
     documented |= {"CrossmapSummary", "ImputationMetrics", "ExtractionResult"}
     for name, (make, _, _) in CASES.items():
         assert hasattr(make(), "to_json_dict") == (name in documented), name
+
+
+# Each record or error with exact fields, built from exact values given as a
+# list: the report records' fields, and CoverageError's mass_at_risk.
+EXACT_FIELD_BUILDERS = {
+    "TransformReceipt": (lambda v: TransformReceipt(v[0] + v[1], v[0], v[1], v[2]), 3),
+    "CoverageReport": (lambda v: CoverageReport(False, ("k",), v[0]), 1),
+    "Finding": (lambda v: Finding("error", "negative_value", "k", "message", v[0]), 1),
+    "ImputationMetrics": (lambda v: ImputationMetrics(COUNTS, 0, 1, v[0], v[1]), 2),
+    "CoverageError": (lambda v: CoverageError(("k",), v[0]), 1),
+}
+
+
+def test_caller_int_renders_as_a_library_built_receipt():
+    _, built = apply_transform(Crossmap([Edge("a", "x", 1)]), MassArray({"a": 5}))
+    caller = TransformReceipt(5, 5, 0, 0)
+    assert caller == built and hash(caller) == hash(built)
+    assert json.dumps(caller.to_json_dict()) == json.dumps(built.to_json_dict())
+    assert all(type(getattr(caller, name)) is Fraction for name in caller._fields)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: TransformReceipt(1.0, 1, 0, 0),
+        lambda: TransformReceipt(1, 1.0, 0, 0),
+        lambda: TransformReceipt(1, 1, 0.0, 0),
+        lambda: TransformReceipt(1, 1, 0, 0.5),
+        lambda: TransformReceipt(True, True, 0, 0),
+        lambda: CoverageReport(False, ("k",), 1.5),
+        lambda: Finding("error", "negative_value", "k", "message", -0.5),
+        lambda: Finding("error", "negative_value", "k", "message", False),
+        lambda: ImputationMetrics(COUNTS, 0, 1, 0.5),
+        lambda: ImputationMetrics(COUNTS, 0, 1, HALF, 0.25),
+        lambda: CoverageError(("k",), 1.5),
+    ],
+    ids=[
+        "receipt_input",
+        "receipt_output",
+        "receipt_dropped",
+        "receipt_split",
+        "receipt_bool",
+        "coverage_report",
+        "finding",
+        "finding_bool",
+        "metrics_potential",
+        "metrics_realized",
+        "coverage_error",
+    ],
+)
+def test_inexact_field_refused(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+@given(
+    st.sampled_from(sorted(EXACT_FIELD_BUILDERS)),
+    st.lists(st.integers(0, 10**30), min_size=3, max_size=3),
+    st.lists(st.booleans(), min_size=3, max_size=3),
+)
+def test_equal_values_render_equal_documents(name, values, as_fraction):
+    build, arity = EXACT_FIELD_BUILDERS[name]
+    ints = values[:arity]
+    mixed = [Fraction(v) if f else v for v, f in zip(ints, as_fraction)]
+    a, b = build(ints), build(mixed)
+    if isinstance(a, CoverageError):
+        assert str(a) == str(b)
+    else:
+        assert a == b
+    assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
+    assert json.dumps(a.to_json_dict()) == json.dumps(build([Fraction(v) for v in ints]).to_json_dict())
