@@ -9,6 +9,7 @@ independent dense matrix-vector product with exact equality.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Sequence
 
 from . import _EXPORTS
@@ -17,10 +18,10 @@ from .core import (
     CrossmapError,
     Edge,
     InvalidCrossmapError,
-    ONE,
     ValidationReport,
     ZERO,
     _Record,
+    _Rows,
     _add_ratio,
 )
 
@@ -95,66 +96,60 @@ def compose(first: Crossmap, second: Crossmap) -> Crossmap:
     Every target of ``first`` must be a source of ``second``.  The result's
     rows still sum to 1 (the product of row-stochastic matrices is
     row-stochastic), which construction re-asserts.  The work goes row by
-    row, over the rows validation built:
+    row, over both maps' rows of integer triples, and builds no ``Edge``
+    and no ``Fraction``:
 
     - a unit row (a single edge, weight 1) of either map passes weights
-      on unchanged: a source of ``first`` with a single edge gets its
-      target's row in ``second`` copied, and a path through a single-edge
-      row of ``second`` keeps the weight object of its ``first`` edge;
+      on unchanged: a source of ``first`` with a single edge shares its
+      target's row of ``second``, and a path through a single-edge row of
+      ``second`` keeps the weight pair of its ``first`` edge;
     - a split source whose paths all reach one target gets that one edge
       with weight exactly 1 and no arithmetic, because both rows on each
       of its paths sum to 1;
     - elsewhere a path through a split row of ``second`` is an unreduced
       integer product, paths that meet at one target are summed as
-      integer pairs, and each such edge reduces to a ``Fraction`` once.
+      integer pairs, and each such edge is reduced with one ``gcd``.
 
     Sources come in ``first``'s order and each row sorted by target, which
     is canonical order, so the result is validated once and not sorted
-    again.
+    again.  Its ``edges`` are built only if a caller reads them.
     """
-    rows = second.outgoing
+    rows = second._rows
     unmatched = tuple(t for t in first.targets if t not in rows)
     if unmatched:
         raise CompositionError(unmatched)
-    new_edge = Edge._from_clean
-    edges: list[Edge] = []
-    for source, lefts in first.outgoing.items():
+    composed: _Rows = {}
+    for source, lefts in first._rows.items():
         if len(lefts) == 1:
-            for right in rows[lefts[0].target]:
-                edges.append(new_edge(source, right.target, right.weight))
+            composed[source] = rows[lefts[0][0]]
             continue
-        # Each target's paths: the left weight object, passed on by a unit
-        # right row, or the integer pair (a*n, b*d) through a split one.
-        reached: dict[str, list[Fraction | tuple[int, int]]] = {}
-        for left in lefts:
-            rights = rows[left.target]
+        # Each target's paths as integer pairs: the left pair, passed on by a
+        # unit right row, or the product (a*n, b*d) through a split one.
+        reached: dict[str, list[tuple[int, int]]] = {}
+        for middle, a, b in lefts:
+            rights = rows[middle]
             if len(rights) == 1:
-                target = rights[0].target
+                target = rights[0][0]
                 if target in reached:
-                    reached[target].append(left.weight)
+                    reached[target].append((a, b))
                 else:
-                    reached[target] = [left.weight]
+                    reached[target] = [(a, b)]
                 continue
-            a, b = left.weight.as_integer_ratio()
-            for right in rights:
-                n, d = right.weight.as_integer_ratio()
-                reached.setdefault(right.target, []).append((a * n, b * d))
+            for target, n, d in rights:
+                reached.setdefault(target, []).append((a * n, b * d))
         if len(reached) == 1:
-            edges.append(new_edge(source, next(iter(reached)), ONE))
+            composed[source] = ((next(iter(reached)), 1, 1),)
             continue
+        row = []
         for target in sorted(reached):
             paths = reached[target]
-            if len(paths) == 1:
-                (path,) = paths
-                weight = Fraction(*path) if type(path) is tuple else path
-            else:
-                pairs = [p if type(p) is tuple else p.as_integer_ratio() for p in paths]
-                n, d = pairs[0]
-                for m, e in pairs[1:]:
-                    n, d = _add_ratio(n, d, m, e)
-                weight = Fraction(n, d)
-            edges.append(new_edge(source, target, weight))
-    return Crossmap._from_sorted(edges)
+            n, d = paths[0]
+            for m, e in paths[1:]:
+                n, d = _add_ratio(n, d, m, e)
+            g = gcd(n, d)
+            row.append((target, n // g, d // g))
+        composed[source] = tuple(row)
+    return Crossmap._from_rows(composed)
 
 
 def reverse(crossmap: Crossmap) -> Crossmap | ValidationReport:

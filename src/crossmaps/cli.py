@@ -25,6 +25,7 @@ from .core import (
     CrossmapError,
     InvalidCrossmapError,
     ValidationReport,
+    ValueTooLongError,
     validate_draft,
 )
 from .formats import (
@@ -394,7 +395,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.handler(args)
     except CrossmapError as exc:
-        sys.stderr.write(to_json(exc))
+        try:
+            document = to_json(exc)
+        except ValueTooLongError as too_long:
+            # A field too long to render, such as a coverage error's mass.
+            exc, document = too_long, to_json(too_long)
+        sys.stderr.write(document)
         return exc.exit_code
     except (OSError, UnicodeDecodeError) as exc:
         if isinstance(exc, UnicodeDecodeError):

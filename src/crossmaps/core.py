@@ -36,6 +36,10 @@ Severity = Literal["error", "warning"]
 
 K = TypeVar("K", bound=Hashable)
 
+# A crossmap's rows: each source's (target, numerator, denominator) triples.
+_Row = tuple[tuple[str, int, int], ...]
+_Rows = dict[str, _Row]
+
 
 class _Record:
     """Field-wise equality, hash, repr and ``__match_args__``; assignment and deletion raise ``AttributeError``.
@@ -194,8 +198,13 @@ def render_rational(value: Fraction) -> str:
     A numerator or denominator over ``sys.get_int_max_str_digits()`` digits
     raises :class:`ValueTooLongError`; the limit stops ``str`` going quadratic.
     """
+    return _render_ratio(value.numerator, value.denominator)
+
+
+def _render_ratio(n: int, d: int) -> str:
+    """:func:`render_rational` of the reduced pair ``n/d``, ``d`` positive, with no ``Fraction`` built."""
     try:
-        return str(value)
+        return str(n) if d == 1 else f"{n}/{d}"
     except ValueError:
         limit = get_int_max_str_digits()
         raise ValueTooLongError(f"exact value has a numerator or denominator over {limit} digits") from None
@@ -367,58 +376,77 @@ class ValidationReport(_Record):
 class Crossmap(_Record):
     """Validated mass-preserving mapping between two key sets.
 
-    Edges are canonically sorted by (source, target); ``sources`` and
-    ``targets`` are the sorted key sets actually appearing on each side.
-    Two crossmaps built from the same edges in any order compare equal.
-    ``outgoing`` maps each source, in canonical order, to its row: its run
-    of edges, a slice of ``edges``.  Validation builds the rows as it checks
-    them, so no view groups the edges again.
+    The map is ``_rows``: each source, in canonical order, to its ``(target,
+    numerator, denominator)`` triples, sorted by target, each weight reduced
+    with a positive denominator; the hot paths read these.  ``edges``, sorted
+    by (source, target), and ``outgoing``, each source's run of ``edges``,
+    are kept from the constructor's argument or built from the rows on first
+    read, so a ``compose`` result that is only composed or written builds no
+    ``Edge``.  ``sources`` and ``targets`` are the sorted key sets actually
+    appearing on each side.  Maps of the same edges in any order compare equal.
     """
 
     # The instance dict holds only the cached views.
     _fields = ("edges",)
-    __slots__ = ("edges", "outgoing", "__dict__")
-    outgoing: Mapping[str, tuple[Edge, ...]]
+    __slots__ = ("_rows", "__dict__")
+    _rows: _Rows
 
     def __init__(self, edges: Iterable[Edge]) -> None:
-        self._set_sorted(tuple(sorted(edges, key=_EDGE_ORDER)))
+        edges = tuple(sorted(edges, key=_EDGE_ORDER))
+        self._set_rows(_rows_of(edges))
+        object.__setattr__(self, "edges", edges)
 
     @classmethod
-    def _from_sorted(cls, edges: Iterable[Edge]) -> Crossmap:
-        # For edges the caller built in canonical (source, target) order.
-        # Skips only the sort: validation runs and raises as in __init__.
+    def _from_rows(cls, rows: _Rows) -> Crossmap:
+        # For rows the caller built in canonical order, each pair reduced with
+        # a positive denominator.  Validation runs and raises as in __init__.
         crossmap = object.__new__(cls)
-        crossmap._set_sorted(tuple(edges))
+        crossmap._set_rows(rows)
         return crossmap
 
-    def _set_sorted(self, edges: tuple[Edge, ...]) -> None:
-        object.__setattr__(self, "edges", edges)
-        report, rows = _validate_edges(edges)
+    def _set_rows(self, rows: _Rows) -> None:
+        report = _validate_rows(rows)
         if not report.ok:
             raise InvalidCrossmapError(report)
-        object.__setattr__(self, "outgoing", rows)
+        object.__setattr__(self, "_rows", rows)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        new_edge, rows = Edge._from_clean, self._rows.items()
+        return tuple([new_edge(s, t, ONE if n == d else Fraction(n, d)) for s, row in rows for t, n, d in row])
+
+    @cached_property
+    def outgoing(self) -> Mapping[str, tuple[Edge, ...]]:
+        """Each source's row as a slice of ``edges``, in canonical order."""
+        edges, rows, end = self.edges, {}, 0
+        for source, row in self._rows.items():
+            start = end
+            end += len(row)
+            rows[source] = edges[start:end]
+        return rows
 
     @cached_property
     def sources(self) -> tuple[str, ...]:
-        return tuple(self.outgoing)
+        return tuple(self._rows)
 
     @cached_property
     def targets(self) -> tuple[str, ...]:
-        return tuple(sorted({e.target for e in self.edges}))
+        return tuple(sorted({t for row in self._rows.values() for t, _, _ in row}))
 
     @cached_property
     def incoming(self) -> Mapping[str, tuple[str, ...]]:
         """Source keys grouped by target key, both in canonical order."""
         grouped: dict[str, list[str]] = {t: [] for t in self.targets}
-        # Edges are sorted by source, so each list fills in sorted order.
-        for e in self.edges:
-            grouped[e.target].append(e.source)
+        # Rows come in source order, so each list fills in sorted order.
+        for source, row in self._rows.items():
+            for target, _, _ in row:
+                grouped[target].append(source)
         return {t: tuple(sources) for t, sources in grouped.items()}
 
     @cached_property
     def split_sources(self) -> tuple[str, ...]:
         """Source keys with more than one outgoing edge (value is divided)."""
-        return tuple(s for s, es in self.outgoing.items() if len(es) > 1)
+        return tuple(s for s, row in self._rows.items() if len(row) > 1)
 
     @cached_property
     def _components(self) -> tuple:
@@ -426,8 +454,16 @@ class Crossmap(_Record):
         from .graph import _find_components
         return _find_components(self)
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._rows == other._rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._rows.items()))
+
     def __len__(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self._rows.values()))
 
 
 class MassArray(Mapping):
@@ -498,25 +534,39 @@ class MassArray(Mapping):
         return tuple(k for k, v in self._entries.items() if v is None)
 
 
-def _out_of_range(edge: Edge) -> Finding:
+def _out_of_range(source: str, target: str, n: int, d: int) -> Finding:
+    weight = Fraction(n, d)
     return Finding(
         severity="error",
         code="weight_out_of_range",
-        subject=f"{edge.source}->{edge.target}",
-        message=f"weight {render_rational(edge.weight)} outside (0, 1]",
-        value=edge.weight,
+        subject=f"{source}->{target}",
+        message=f"weight {render_rational(weight)} outside (0, 1]",
+        value=weight,
     )
 
 
-def _validate_edges(edges: tuple[Edge, ...]) -> tuple[ValidationReport, dict[str, tuple[Edge, ...]]]:
-    """Check every crossmap condition on edges sorted by (source, target), one row at a time.
+def _rows_of(edges: tuple[Edge, ...]) -> _Rows:
+    """The rows of edges sorted by (source, target): each a slice of one flat tuple of triples."""
+    flat = tuple([(e.target, *e.weight.as_integer_ratio()) for e in edges])
+    rows: _Rows = {}
+    end = 0
+    # The edges come sorted, so each source's row is the next run of edges.
+    for source, count in Counter(map(_EDGE_SOURCE, edges)).items():
+        start = end
+        end += count
+        rows[source] = flat[start:end]
+    return rows
 
-    Returns the report and the rows: each source's run of edges, a slice of
-    ``edges``, in source order.  Per-edge findings come in edge order, then
-    each ``weight_sum_not_one`` in source order.
+
+def _validate_rows(rows: _Rows) -> ValidationReport:
+    """Check every crossmap condition on rows in canonical order, one row at a time.
+
+    Each row holds a source's ``(target, numerator, denominator)`` triples,
+    sorted by target, with positive denominators.  Per-edge findings come in
+    row order, then each ``weight_sum_not_one`` in source order.
     """
     findings: list[Finding] = []
-    if not edges:
+    if not rows:
         findings.append(
             Finding(
                 severity="error",
@@ -525,39 +575,30 @@ def _validate_edges(edges: tuple[Edge, ...]) -> tuple[ValidationReport, dict[str
                 message="a crossmap needs at least one edge",
             )
         )
-    rows: dict[str, tuple[Edge, ...]] = {}
     unbalanced: list[tuple[str, int, int]] = []
-    end = 0
-    # The edges come sorted, so each source's row is the next run of edges.
-    for source, count in Counter(map(_EDGE_SOURCE, edges)).items():
-        start = end
-        end += count
-        rows[source] = row = edges[start:end]
-        head = row[0]
-        total_n, total_d = head.weight.as_integer_ratio()
-        # Fraction denominators are positive, so 0 < n/d <= 1 iff 0 < n <= d;
-        # the common unit weight, n == d, is in range and needs one test.
+    for source, row in rows.items():
+        triples = iter(row)
+        previous_target, total_n, total_d = next(triples)
+        # Denominators are positive, so 0 < n/d <= 1 iff 0 < n <= d; the
+        # common unit weight, n == d, is in range and needs one test.
         if total_n != total_d and not 0 < total_n <= total_d:
-            findings.append(_out_of_range(head))
-        if count > 1:
-            previous_target = head.target
-            for edge in row[1:]:
-                # Sorted by target within the row, a duplicate pair always
-                # directly follows its twin.
-                if edge.target == previous_target:
-                    findings.append(
-                        Finding(
-                            severity="error",
-                            code="duplicate_edge",
-                            subject=f"{source}->{edge.target}",
-                            message=f"duplicate edge ({source}, {edge.target})",
-                        )
+            findings.append(_out_of_range(source, previous_target, total_n, total_d))
+        for target, n, d in triples:
+            # Sorted by target within the row, a duplicate pair always
+            # directly follows its twin.
+            if target == previous_target:
+                findings.append(
+                    Finding(
+                        severity="error",
+                        code="duplicate_edge",
+                        subject=f"{source}->{target}",
+                        message=f"duplicate edge ({source}, {target})",
                     )
-                previous_target = edge.target
-                n, d = edge.weight.as_integer_ratio()
-                if not 0 < n <= d:
-                    findings.append(_out_of_range(edge))
-                total_n, total_d = _add_ratio(total_n, total_d, n, d)
+                )
+            previous_target = target
+            if not 0 < n <= d:
+                findings.append(_out_of_range(source, target, n, d))
+            total_n, total_d = _add_ratio(total_n, total_d, n, d)
         # Unreduced, but with a positive denominator the sum is 1 iff n == d.
         if total_n != total_d:
             unbalanced.append((source, total_n, total_d))
@@ -576,7 +617,7 @@ def _validate_edges(edges: tuple[Edge, ...]) -> tuple[ValidationReport, dict[str
                 value=total,
             )
         )
-    return ValidationReport(tuple(findings)), rows
+    return ValidationReport(tuple(findings))
 
 
 def validate_draft(draft: EdgeListDraft) -> ValidationReport:
@@ -586,7 +627,7 @@ def validate_draft(draft: EdgeListDraft) -> ValidationReport:
     an out-of-range weight each become a finding, so one pass surfaces the
     complete repair list.
     """
-    return _validate_edges(tuple(sorted(draft.edges, key=_EDGE_ORDER)))[0]
+    return _validate_rows(_rows_of(tuple(sorted(draft.edges, key=_EDGE_ORDER))))
 
 
 def build_crossmap(draft: EdgeListDraft) -> Crossmap | ValidationReport:
@@ -605,4 +646,4 @@ def identity_crossmap(keys: Iterable[str]) -> Crossmap:
     cleaned = [clean_key(k) for k in keys]
     if not cleaned:
         raise ValueError("identity crossmap needs at least one key")
-    return Crossmap(Edge._from_clean(k, k, ONE) for k in dict.fromkeys(cleaned))
+    return Crossmap._from_rows({k: ((k, 1, 1),) for k in sorted(set(cleaned))})

@@ -30,6 +30,7 @@ from .core import (
     MassArray,
     ONE,
     ValidationReport,
+    _render_ratio,
     parse_rational,
     render_rational,
 )
@@ -147,18 +148,21 @@ def write_edge_list(crossmap: Crossmap) -> str:
     buffer = io.StringIO()
     writer = _csv_writer(buffer)
     writer.writerow(EDGE_HEADER)
-    # Real maps repeat a few weights, so each distinct one is rendered once.
-    # Keyed by the integer pair: hashing the Fraction itself costs more than
-    # rendering it.
+    # Read from the rows, with no Edge or Fraction built.  Most weights of
+    # real maps are 1, and the few others repeat, so each distinct pair is
+    # rendered once.
     rendered: dict[tuple[int, int], str] = {}
-    rows = []
-    for e in crossmap.edges:
-        pair = e.weight.as_integer_ratio()
-        text = rendered.get(pair)
-        if text is None:
-            text = rendered[pair] = render_rational(e.weight)
-        rows.append((e.source, e.target, text))
-    writer.writerows(rows)
+    lines = []
+    for source, row in crossmap._rows.items():
+        for target, n, d in row:
+            if n == d:
+                text = "1"
+            else:
+                text = rendered.get((n, d))
+                if text is None:
+                    text = rendered[n, d] = _render_ratio(n, d)
+            lines.append((source, target, text))
+    writer.writerows(lines)
     return buffer.getvalue()
 
 

@@ -227,7 +227,7 @@ def imputation_metrics(crossmap: Crossmap, array: MassArray | None = None) -> Im
         realized = ZERO if total == ZERO else entering / total
     return ImputationMetrics(
         component_type_counts=_type_counts(crossmap),
-        fractional_edge_count=sum(1 for e in crossmap.edges if e.weight != ONE),
+        fractional_edge_count=sum(1 for row in crossmap._rows.values() for _, n, d in row if n != d),
         split_source_count=len(split),
         potential_split_share=Fraction(len(split), len(crossmap.sources)),
         realized_split_mass_share=realized,

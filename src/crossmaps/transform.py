@@ -20,10 +20,11 @@ from . import _EXPORTS
 from .core import (
     Crossmap,
     CrossmapError,
-    Edge,
     MassArray,
+    ValueTooLongError,
     ZERO,
     _Record,
+    _Row,
     _check_weight_type,
     _exact_sums,
     _exact_total,
@@ -35,7 +36,11 @@ __all__ = _EXPORTS["transform"]
 
 
 class CoverageError(CrossmapError):
-    """The array holds keys the crossmap has no instructions for."""
+    """The array holds keys the crossmap has no instructions for.
+
+    A mass at risk too long to render is stated in the message by its size;
+    the document then raises :class:`ValueTooLongError`, as any such value does.
+    """
 
     error = "coverage"
     _fields = ("uncovered_keys", "mass_at_risk", "step")
@@ -45,10 +50,12 @@ class CoverageError(CrossmapError):
         self.mass_at_risk = _check_weight_type(mass_at_risk)
         self.step = step
         where = "" if step is None else f" at step {step}"
-        super().__init__(
-            f"uncovered keys{where}: {', '.join(uncovered_keys)} "
-            f"(mass at risk {render_rational(self.mass_at_risk)})"
-        )
+        try:
+            mass = render_rational(self.mass_at_risk)
+        except ValueTooLongError:
+            n, d = self.mass_at_risk.as_integer_ratio()
+            mass = f"too long to render: a {n.bit_length()}-bit numerator over a {d.bit_length()}-bit denominator"
+        super().__init__(f"uncovered keys{where}: {', '.join(uncovered_keys)} (mass at risk {mass})")
 
 
 class MissingValueError(CrossmapError):
@@ -114,9 +121,9 @@ class TransformReceipt(_Record):
 
 _FULLY_COVERED = CoverageReport(conformable=True, uncovered_keys=(), mass_at_risk=ZERO)
 
-# A covered entry with nonzero mass: the source's row of edges and the mass
-# as its integer pair (numerator, denominator).
-_Covered = tuple[tuple[Edge, ...], int, int]
+# A covered entry with nonzero mass: the source's row of (target, numerator,
+# denominator) triples and the mass as its integer pair (numerator, denominator).
+_Covered = tuple[_Row, int, int]
 
 
 def _refuse_flawed(array: MassArray) -> NoReturn:
@@ -139,7 +146,7 @@ def _require_clean(
     # reports are built only when the pass finds something to refuse or
     # drop.  Returns the coverage report and the covered entries with
     # nonzero mass, in key order.
-    row_of = crossmap.outgoing.get
+    row_of = crossmap._rows.get
     covered: list[_Covered] = []
     uncovered = False
     for key, mass in array.items():
@@ -191,9 +198,8 @@ def apply_transform(
     def terms():
         # mass * weight as an unreduced integer pair.
         for row, p, q in covered:
-            for edge in row:
-                n, d = edge.weight.as_integer_ratio()
-                yield edge.target, p * n, q * d
+            for target, n, d in row:
+                yield target, p * n, q * d
 
     # Masses and weights are positive, so every accumulated sum is too:
     # none is a zero to leave out.

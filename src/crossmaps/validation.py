@@ -46,8 +46,8 @@ def check_coverage(crossmap: Crossmap, array: MassArray) -> CoverageReport:
     sources; they contribute nothing to ``mass_at_risk`` since they carry
     no known mass (``check_array`` flags them separately).
     """
-    outgoing = crossmap.outgoing
-    uncovered = tuple(k for k in array if k not in outgoing)
+    rows = crossmap._rows
+    uncovered = tuple(k for k in array if k not in rows)
     at_risk = _exact_total(array[k] for k in uncovered if array[k] is not None)
     return CoverageReport(conformable=not uncovered, uncovered_keys=uncovered, mass_at_risk=at_risk)
 

@@ -60,6 +60,13 @@ TOO_LONG_APPLY = {
     "m.csv": b"from,to,weight\ns1,t,1\ns2,t,1\n",
     "d.csv": f"key,value\ns1,{LONG}/7\ns2,{LONG}/11\n".encode(),
 }
+# Two uncovered keys whose masses sum to 1/a + 1/b, over a denominator a * b
+# of 4401 digits: the coverage error is raised, and its document is too long.
+_A, _B = 10**2200 + 1, 10**2200 + 3
+TOO_LONG_UNCOVERED = {
+    "m.csv": b"from,to,weight\ns1,t,1\ns2,t,1\n",
+    "d.csv": f"key,value\ns1,1\ny,1/{_A}\nz,1/{_B}\n".encode(),
+}
 TOO_LONG_COMPOSE = {
     "m.csv": f"from,to,weight\na,m,1/{LONG}\na,n,{LONG - 1}/{LONG}\n".encode(),
     "n.csv": f"from,to,weight\nm,y,{LONG - 2}/{LONG - 1}\nm,z,1/{LONG - 1}\nn,z,1\n".encode(),
@@ -863,8 +870,9 @@ class TestFailureDocuments:
         [
             (["apply", "--map", "{m}", "--data", "{d}", "--out", "{o}"], TOO_LONG_APPLY),
             (["compose", "{m}", "{n}", "--out", "{o}"], TOO_LONG_COMPOSE),
+            (["apply", "--map", "{m}", "--data", "{d}", "--out", "{o}"], TOO_LONG_UNCOVERED),
         ],
-        ids=["apply", "compose"],
+        ids=["apply", "compose", "uncovered_mass"],
     )
     def test_result_too_long_to_print_is_one_document(self, argv, inputs, tmp_path, capsys):
         _write_inputs(tmp_path, inputs)

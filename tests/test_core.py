@@ -231,6 +231,15 @@ def reference_report(edges) -> ValidationReport:
     return ValidationReport(tuple(findings))
 
 
+def rows_of(edges) -> dict[str, tuple[tuple[str, int, int], ...]]:
+    """The edges as a crossmap's rows, restated plainly: sorted, grouped by source, weights as integer pairs."""
+    ordered = sorted(edges, key=lambda e: (e.source, e.target))
+    return {
+        s: tuple((e.target, *e.weight.as_integer_ratio()) for e in es)
+        for s, es in groupby(ordered, key=lambda e: e.source)
+    }
+
+
 def assert_rows_are_the_crossmaps_own(crossmap: Crossmap) -> None:
     """``outgoing`` equals a groupby over the edges, order included, and holds the crossmap's own edges."""
     expected = {s: tuple(es) for s, es in groupby(crossmap.edges, key=lambda e: e.source)}
@@ -372,8 +381,8 @@ class TestBuildCrossmap:
 
     def test_valid_build_runs_one_validation_pass(self, monkeypatch):
         calls = []
-        validate = core._validate_edges
-        monkeypatch.setattr(core, "_validate_edges", lambda edges: calls.append(edges) or validate(edges))
+        validate = core._validate_rows
+        monkeypatch.setattr(core, "_validate_rows", lambda rows: calls.append(rows) or validate(rows))
         assert isinstance(build_crossmap(country_draft()), Crossmap)
         assert len(calls) == 1
 
@@ -395,18 +404,23 @@ class TestBuildCrossmap:
         ids=["unbalanced_row", "duplicate_pair", "out_of_range_weight", "empty"],
     )
     def test_from_sorted_validates_like_the_constructor(self, edges):
+        # Crossmap._from_rows, given the rows of the edges in sorted order.
         with pytest.raises(InvalidCrossmapError) as excinfo:
-            Crossmap._from_sorted(edges)
+            Crossmap._from_rows(rows_of(edges))
         assert excinfo.value.report == validate_draft(EdgeListDraft(edges))
 
     def test_from_sorted_keeps_sorted_edges_and_validates_once(self, monkeypatch):
+        # Crossmap._from_rows keeps the rows it is given, validates them once,
+        # and builds the same edges and rows as the constructor does.
         expected = build_crossmap(country_draft())
+        rows = rows_of(expected.edges)
         calls = []
-        validate = core._validate_edges
-        monkeypatch.setattr(core, "_validate_edges", lambda edges: calls.append(edges) or validate(edges))
-        built = Crossmap._from_sorted(list(expected.edges))
+        validate = core._validate_rows
+        monkeypatch.setattr(core, "_validate_rows", lambda rows: calls.append(rows) or validate(rows))
+        built = Crossmap._from_rows(rows)
         assert built == expected
-        assert calls == [built.edges]
+        assert len(calls) == 1 and calls[0] is rows is built._rows
+        assert built.edges == expected.edges
         assert_rows_are_the_crossmaps_own(built)
 
 

@@ -76,6 +76,18 @@ class TestApplyTransform:
         assert excinfo.value.uncovered_keys == ("x7285!",)
         assert excinfo.value.mass_at_risk == Fraction(3895)
 
+    def test_uncovered_mass_too_long_to_render_is_still_a_coverage_error(self):
+        mass = Fraction(10**5000, 7)
+        with pytest.raises(CoverageError) as excinfo:
+            apply_transform(Crossmap([Edge("a", "x", ONE)]), MassArray({"a": 1, "z": mass}))
+        assert excinfo.value.uncovered_keys == ("z",)
+        assert excinfo.value.mass_at_risk == mass
+        # The message states the mass's size instead of its digits.
+        assert str(excinfo.value) == (
+            "uncovered keys: z (mass at risk too long to render: "
+            f"a {(10**5000).bit_length()}-bit numerator over a 3-bit denominator)"
+        )
+
     def test_drop_and_report_accounts_for_everything(self, country_map):
         array = MassArray({"AUS": 1, "x7285!": 3895})
         options = TransformOptions(on_uncovered="drop_and_report")
@@ -286,3 +298,11 @@ class TestApplySequence:
             apply_sequence([step0, step1], MassArray({"a": 5}))
         assert excinfo.value.step == 1
         assert excinfo.value.uncovered_keys == ("m",)
+
+    def test_chain_failure_with_a_mass_too_long_to_render_names_step(self):
+        ident = identity_crossmap(["a"])
+        with pytest.raises(CoverageError) as excinfo:
+            apply_sequence([ident, ident], MassArray({"a": 1, "z": Fraction(10**5000, 7)}))
+        assert excinfo.value.step == 0
+        assert excinfo.value.uncovered_keys == ("z",)
+        assert "at step 0" in str(excinfo.value)
