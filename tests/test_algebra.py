@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from crossmaps import algebra, core
 from crossmaps.algebra import (
@@ -142,6 +142,41 @@ def weights_of(crossmap: Crossmap) -> dict[tuple[str, str], Fraction]:
     return {(e.source, e.target): e.weight for e in crossmap.edges}
 
 
+# The two parametrized tests of TestCompose run these module-level properties.
+# pytest makes a new TestCompose instance for each case, and Hypothesis fails
+# its differing_executors health check when one @given method is called from
+# more than one instance; a module-level @given has no executor to differ.
+
+
+@given(seed=st.integers(0, 10_000))
+def check_matches_all_paths_reference(split_share: float, seed: int) -> None:
+    rng = random.Random(seed)
+    layers = [[f"k{depth}_{i}" for i in range(rng.randint(2, 8))] for depth in range(4)]
+    a = layered_map(rng, layers[0], layers[1], split_share)
+    b = layered_map(rng, a.targets, layers[2], split_share)
+    c = layered_map(rng, b.targets, layers[3], split_share)
+    ab = compose(a, b)
+    assert weights_of(ab) == all_paths_reference(a, b)
+    assert weights_of(compose(ab, c)) == all_paths_reference(ab, c)
+    assert all(type(e.weight) is Fraction for e in ab.edges)
+
+
+@given(seed=st.integers(0, 10_000))
+def check_result_is_built_in_canonical_order(onto_occupation: bool, seed: int) -> None:
+    rng = random.Random(seed)
+    if onto_occupation:
+        # Split rows onto occupation codes that share a target collapse.
+        second = occupation_recode()
+        first = layered_map(rng, [f"f{i}" for i in range(40)], list(second.sources), 0.5)
+    else:
+        layers = [[f"k{depth}_{i}" for i in range(rng.randint(2, 8))] for depth in range(3)]
+        first = layered_map(rng, layers[0], layers[1], 0.5)
+        second = layered_map(rng, first.targets, layers[2], 0.5)
+    composed = compose(first, second)
+    assert list(composed.edges) == sorted(composed.edges, key=lambda e: (e.source, e.target))
+    assert composed == Crossmap(list(composed.edges))
+
+
 class TestCompose:
     def test_right_identity(self, country_map):
         assert compose(country_map, identity_crossmap(country_map.targets)) == country_map
@@ -166,20 +201,9 @@ class TestCompose:
         a, b, c = random_chain(random.Random(seed), length=3, max_keys=6)
         assert compose(compose(a, b), c) == compose(a, compose(b, c))
 
-    # The case is drawn inside @given, not parametrized, so each test keeps one
-    # executor; the example budget is the three former cases' together.
-    @settings(max_examples=300)
-    @given(split_share=st.sampled_from([0.0, 1.0, 0.5]), seed=st.integers(0, 10_000))
-    def test_matches_all_paths_reference(self, split_share, seed):
-        rng = random.Random(seed)
-        layers = [[f"k{depth}_{i}" for i in range(rng.randint(2, 8))] for depth in range(4)]
-        a = layered_map(rng, layers[0], layers[1], split_share)
-        b = layered_map(rng, a.targets, layers[2], split_share)
-        c = layered_map(rng, b.targets, layers[3], split_share)
-        ab = compose(a, b)
-        assert weights_of(ab) == all_paths_reference(a, b)
-        assert weights_of(compose(ab, c)) == all_paths_reference(ab, c)
-        assert all(type(e.weight) is Fraction for e in ab.edges)
+    @pytest.mark.parametrize("split_share", [0.0, 1.0, 0.5], ids=["unit_rows", "split_rows", "mixed"])
+    def test_matches_all_paths_reference(self, split_share):
+        check_matches_all_paths_reference(split_share)
 
     @given(st.integers(0, 10_000))
     def test_onto_occupation_matches_all_paths_reference(self, seed):
@@ -250,21 +274,9 @@ class TestCompose:
         assert c_edge.weight is core.ONE
         assert weights_of(composed) == all_paths_reference(first, second)
 
-    @settings(max_examples=200)
-    @given(onto_occupation=st.booleans(), seed=st.integers(0, 10_000))
-    def test_result_is_built_in_canonical_order(self, onto_occupation, seed):
-        rng = random.Random(seed)
-        if onto_occupation:
-            # Split rows onto occupation codes that share a target collapse.
-            second = occupation_recode()
-            first = layered_map(rng, [f"f{i}" for i in range(40)], list(second.sources), 0.5)
-        else:
-            layers = [[f"k{depth}_{i}" for i in range(rng.randint(2, 8))] for depth in range(3)]
-            first = layered_map(rng, layers[0], layers[1], 0.5)
-            second = layered_map(rng, first.targets, layers[2], 0.5)
-        composed = compose(first, second)
-        assert list(composed.edges) == sorted(composed.edges, key=lambda e: (e.source, e.target))
-        assert composed == Crossmap(list(composed.edges))
+    @pytest.mark.parametrize("onto_occupation", [False, True], ids=["layered", "onto_occupation"])
+    def test_result_is_built_in_canonical_order(self, onto_occupation):
+        check_result_is_built_in_canonical_order(onto_occupation)
 
     def test_validates_its_result_once(self, monkeypatch):
         first, second = random_chain(random.Random(4))
