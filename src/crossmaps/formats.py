@@ -148,19 +148,15 @@ def write_edge_list(crossmap: Crossmap) -> str:
     buffer = io.StringIO()
     writer = _csv_writer(buffer)
     writer.writerow(EDGE_HEADER)
-    # Read from the rows, with no Edge or Fraction built.  Most weights of
-    # real maps are 1, and the few others repeat, so each distinct pair is
-    # rendered once.
+    # Read from the rows, with no Edge or Fraction built; each distinct pair
+    # is rendered once.
     rendered: dict[tuple[int, int], str] = {}
     lines = []
     for source, row in crossmap._rows.items():
         for target, n, d in row:
-            if n == d:
-                text = "1"
-            else:
-                text = rendered.get((n, d))
-                if text is None:
-                    text = rendered[n, d] = _render_ratio(n, d)
+            text = rendered.get((n, d))
+            if text is None:
+                text = rendered[n, d] = _render_ratio(n, d)
             lines.append((source, target, text))
     writer.writerows(lines)
     return buffer.getvalue()
