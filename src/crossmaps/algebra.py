@@ -51,13 +51,6 @@ class MatrixEncoding(_Record):
 
     __slots__ = _fields = ("row_keys", "col_keys", "cells")
 
-    def __init__(
-        self, row_keys: tuple[str, ...], col_keys: tuple[str, ...], cells: tuple[tuple[Fraction, ...], ...]
-    ) -> None:
-        object.__setattr__(self, "row_keys", row_keys)
-        object.__setattr__(self, "col_keys", col_keys)
-        object.__setattr__(self, "cells", cells)
-
 
 def to_matrix(crossmap: Crossmap) -> MatrixEncoding:
     """Dense matrix encoding in the crossmap's canonical key order."""
@@ -96,8 +89,8 @@ def compose(first: Crossmap, second: Crossmap) -> Crossmap:
     Every target of ``first`` must be a source of ``second``.  The result's
     rows still sum to 1 (the product of row-stochastic matrices is
     row-stochastic), which construction re-asserts.  The work goes row by
-    row, over both maps' rows of integer triples, and builds no ``Edge``
-    and no ``Fraction``:
+    row, over both maps' rows (laid out as ``core._Rows`` states), and
+    builds no ``Edge`` and no ``Fraction``:
 
     - a unit row (a single edge, weight 1) of either map passes weights
       on unchanged: a source of ``first`` with a single edge shares its

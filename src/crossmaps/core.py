@@ -23,7 +23,7 @@ from functools import cached_property
 from math import gcd
 from operator import attrgetter
 from sys import get_int_max_str_digits
-from typing import Hashable, Literal, TypeVar
+from typing import Hashable, Literal, NoReturn, TypeVar
 
 from . import _EXPORTS
 
@@ -36,7 +36,10 @@ Severity = Literal["error", "warning"]
 
 K = TypeVar("K", bound=Hashable)
 
-# A crossmap's rows: each source's (target, numerator, denominator) triples.
+# The row contract, stated only here: ``Crossmap._rows`` maps each source, in sorted order,
+# to a non-empty row of (target, n, d) triples sorted by target, each weight the reduced
+# n/d with d > 0.  ``_from_rows`` trusts its caller for this layout and validates only the
+# crossmap conditions.  Beside core, algebra, formats, graph, transform and validation read it.
 _Row = tuple[tuple[str, int, int], ...]
 _Rows = dict[str, _Row]
 
@@ -44,25 +47,69 @@ _Rows = dict[str, _Row]
 class _Record:
     """Field-wise equality, hash, repr and ``__match_args__``; assignment and deletion raise ``AttributeError``.
 
-    Each subclass declares ``__slots__ = _fields = (...)`` and an ``__init__``
-    taking those fields in order, which sets them with ``object.__setattr__``.
-    Only instances of one class compare equal.  Pickling and copying call the
+    Each subclass declares ``__slots__ = _fields = (...)``, and the one
+    constructor binds its arguments to those fields as a function would:
+    positional arguments in field order, then keywords.  ``_defaults`` fills
+    the trailing fields left unbound, as ``namedtuple``'s does.  Each field
+    named in ``_exact`` passes :func:`_check_weight_type` (a ``Fraction``
+    passes as it is): an ``int`` becomes a ``Fraction``, a float or ``bool``
+    is a ``TypeError``, and ``None`` is kept only where it is the field's
+    default.  A wrong call is a ``TypeError`` naming the class and its
+    fields.  A class writes its own ``__init__`` only to convert or check
+    its input, and then calls this one or sets every field itself.  Only
+    instances of one class compare equal.  Pickling and copying call the
     class on the field values, so the constructor's checks run again.
 
     A record whose JSON document is its fields sets ``to_json_dict =
     _Record._json_dict``: a key per field, in field order, where a ``Fraction``
     becomes :func:`render_rational` text, a tuple a list, a dict a copy, and
-    any other value (``bool``, ``int``, ``str``, ``None``) stays as it is.  Its
-    exact fields pass :func:`_check_weight_type` when built: an ``int`` becomes
-    a ``Fraction``, a float is refused, and equal records render equal documents.
+    any other value (``bool``, ``int``, ``str``, ``None``) stays as it is.
+    Its exact fields hold ``Fraction``s, so equal records render equal documents.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...]
+    _defaults: tuple = ()
+    _exact: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         cls.__match_args__ = cls._fields
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields, exact = self._fields, self._exact
+        if kwargs or len(args) != len(fields):
+            args = self._bind(args, kwargs)
+        for name, value in zip(fields, args):
+            if name in exact and type(value) is not Fraction:
+                value = self._exact_value(name, value)
+            object.__setattr__(self, name, value)
+
+    def _bind(self, args: tuple, kwargs: dict) -> list:
+        fields, defaults = self._fields, self._defaults
+        if len(args) > len(fields):
+            self._refuse_call(f"{len(args)} positional arguments given")
+        values, first_default = list(args), len(fields) - len(defaults)
+        for index in range(len(args), len(fields)):
+            name = fields[index]
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif index >= first_default:
+                values.append(defaults[index - first_default])
+            else:
+                self._refuse_call(f"no value for {name!r}")
+        for name in kwargs:
+            self._refuse_call(f"{name!r} given twice" if name in fields else f"no field {name!r}")
+        return values
+
+    def _exact_value(self, name: str, value: object) -> Fraction | None:
+        # None stays only in a field whose default is None.
+        if value is None and dict(zip(self._fields[::-1], self._defaults[::-1])).get(name, ...) is None:
+            return None
+        return _check_weight_type(value)
+
+    def _refuse_call(self, problem: str) -> NoReturn:
+        raise TypeError(f"{type(self).__name__}({', '.join(self._fields)}): {problem}")
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -289,6 +336,12 @@ def _check_weight_type(weight: Fraction) -> Fraction:
     return weight
 
 
+def _check_policy(name: str, value: str, choices: tuple[str, ...]) -> None:
+    # The rule for every policy argument: a misspelled value must not take the non-default branch.
+    if value not in choices:
+        raise ValueError(f"{name} must be one of {', '.join(map(repr, choices))}, not {value!r}")
+
+
 class Edge(_Record):
     """One weighted link: ``source`` distributes ``weight`` of its value to ``target``.
 
@@ -336,15 +389,8 @@ class Finding(_Record):
     """One validation observation; ``value`` carries the offending exact sum or weight."""
 
     __slots__ = _fields = ("severity", "code", "subject", "message", "value")
-
-    def __init__(
-        self, severity: Severity, code: str, subject: str, message: str, value: Fraction | None = None
-    ) -> None:
-        object.__setattr__(self, "severity", severity)
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "subject", subject)
-        object.__setattr__(self, "message", message)
-        object.__setattr__(self, "value", value if value is None or type(value) is Fraction else _check_weight_type(value))
+    _defaults = (None,)
+    _exact = ("value",)
 
     to_json_dict = _Record._json_dict
 
@@ -353,9 +399,6 @@ class ValidationReport(_Record):
     """Outcome of checking a draft or derived structure; ok iff no error findings."""
 
     __slots__ = _fields = ("findings",)
-
-    def __init__(self, findings: tuple[Finding, ...]) -> None:
-        object.__setattr__(self, "findings", findings)
 
     @property
     def ok(self) -> bool:
@@ -376,14 +419,13 @@ class ValidationReport(_Record):
 class Crossmap(_Record):
     """Validated mass-preserving mapping between two key sets.
 
-    The map is ``_rows``: each source, in canonical order, to its ``(target,
-    numerator, denominator)`` triples, sorted by target, each weight reduced
-    with a positive denominator; the hot paths read these.  ``edges``, sorted
-    by (source, target), and ``outgoing``, each source's run of ``edges``,
-    are kept from the constructor's argument or built from the rows on first
-    read, so a ``compose`` result that is only composed or written builds no
-    ``Edge``.  ``sources`` and ``targets`` are the sorted key sets actually
-    appearing on each side.  Maps of the same edges in any order compare equal.
+    The map is ``_rows``, laid out as the comment on ``_Rows`` states; the
+    hot paths read these.  ``edges``, sorted by (source, target), and
+    ``outgoing``, each source's run of ``edges``, are kept from the
+    constructor's argument or built from the rows on first read, so a
+    ``compose`` result that is only composed or written builds no ``Edge``.
+    ``sources`` and ``targets`` are the sorted key sets actually appearing
+    on each side.  Maps of the same edges in any order compare equal.
     """
 
     # The instance dict holds only the cached views.

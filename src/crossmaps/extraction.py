@@ -17,7 +17,7 @@ from __future__ import annotations
 import io
 import sys
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import (
     Crossmap,
@@ -41,9 +41,6 @@ class InProcessTransform(_Record):
     """Probe target wrapping a direct array -> array function."""
 
     __slots__ = _fields = ("fn",)
-
-    def __init__(self, fn: Callable[[MassArray], MassArray]) -> None:
-        object.__setattr__(self, "fn", fn)
 
     def run(self, array: MassArray) -> MassArray:
         return self.fn(array)
@@ -96,20 +93,6 @@ class ExtractionResult(_Record):
     """
 
     __slots__ = _fields = ("crossmap", "raw_weights", "nonconforming_sources", "tolerance_used", "rationalized")
-
-    def __init__(
-        self,
-        crossmap: Crossmap | None,
-        raw_weights: dict[str, MassArray],
-        nonconforming_sources: tuple[tuple[str, Fraction], ...],
-        tolerance_used: Fraction,
-        rationalized: bool,
-    ) -> None:
-        object.__setattr__(self, "crossmap", crossmap)
-        object.__setattr__(self, "raw_weights", raw_weights)
-        object.__setattr__(self, "nonconforming_sources", nonconforming_sources)
-        object.__setattr__(self, "tolerance_used", tolerance_used)
-        object.__setattr__(self, "rationalized", rationalized)
 
     def to_json_dict(self) -> dict:
         return {

@@ -18,7 +18,7 @@ import io
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Literal, TextIO
+from typing import Iterable, Literal, TextIO, get_args
 
 from . import _EXPORTS
 from .core import (
@@ -30,6 +30,7 @@ from .core import (
     MassArray,
     ONE,
     ValidationReport,
+    _check_policy,
     _render_ratio,
     parse_rational,
     render_rational,
@@ -255,8 +256,10 @@ def import_crosswalk(
     ``equal_split`` every one of its k targets gets weight 1/k, flagged
     with a warning so the imputation is reviewed rather than overlooked.
     Returns the crossmap (when importable) together with the report
-    carrying any split errors or imputation warnings.
+    carrying any split errors or imputation warnings.  Any other policy is
+    a ``ValueError``, raised before the source is read.
     """
+    _check_policy("split_policy", split_policy, get_args(SplitPolicy))
     pairs = read_crosswalk(source)
     targets_for: dict[str, list[str]] = {}
     for from_key, to_key in pairs:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Literal, get_args
 
 from . import _EXPORTS
-from .core import Crossmap, Edge, MassArray, ONE, ZERO, _Record, _check_weight_type, render_rational
+from .core import Crossmap, MassArray, ONE, ZERO, _Record, render_rational
 
 __all__ = _EXPORTS["graph"]
 
@@ -33,14 +33,6 @@ class Component(_Record):
     """One maximal weakly-connected subgraph of the crossmap."""
 
     __slots__ = _fields = ("sources", "targets", "edges", "relation_type")
-
-    def __init__(
-        self, sources: tuple[str, ...], targets: tuple[str, ...], edges: tuple[Edge, ...], relation_type: RelationType
-    ) -> None:
-        object.__setattr__(self, "sources", sources)
-        object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "relation_type", relation_type)
 
     def to_json_dict(self) -> dict:
         return {
@@ -119,30 +111,11 @@ def _type_counts(crossmap: Crossmap) -> dict[RelationType, int]:
 class TargetSummary(_Record):
     __slots__ = _fields = ("target", "incoming_count", "incoming_keys")
 
-    def __init__(self, target: str, incoming_count: int, incoming_keys: tuple[str, ...]) -> None:
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "incoming_count", incoming_count)
-        object.__setattr__(self, "incoming_keys", incoming_keys)
-
 
 class CrossmapSummary(_Record):
     """Per-target aggregation view plus whole-map totals."""
 
     __slots__ = _fields = ("target_rows", "edge_count", "source_count", "target_count", "component_type_counts")
-
-    def __init__(
-        self,
-        target_rows: tuple[TargetSummary, ...],
-        edge_count: int,
-        source_count: int,
-        target_count: int,
-        component_type_counts: dict[RelationType, int],
-    ) -> None:
-        object.__setattr__(self, "target_rows", target_rows)
-        object.__setattr__(self, "edge_count", edge_count)
-        object.__setattr__(self, "source_count", source_count)
-        object.__setattr__(self, "target_count", target_count)
-        object.__setattr__(self, "component_type_counts", component_type_counts)
 
     def to_json_dict(self) -> dict:
         return {
@@ -190,22 +163,8 @@ class ImputationMetrics(_Record):
         "potential_split_share",
         "realized_split_mass_share",
     )
-
-    def __init__(
-        self,
-        component_type_counts: dict[RelationType, int],
-        fractional_edge_count: int,
-        split_source_count: int,
-        potential_split_share: Fraction,
-        realized_split_mass_share: Fraction | None = None,
-    ) -> None:
-        object.__setattr__(self, "component_type_counts", component_type_counts)
-        object.__setattr__(self, "fractional_edge_count", fractional_edge_count)
-        object.__setattr__(self, "split_source_count", split_source_count)
-        object.__setattr__(self, "potential_split_share", _check_weight_type(potential_split_share))
-        if realized_split_mass_share is not None:
-            realized_split_mass_share = _check_weight_type(realized_split_mass_share)
-        object.__setattr__(self, "realized_split_mass_share", realized_split_mass_share)
+    _defaults = (None,)
+    _exact = ("potential_split_share", "realized_split_mass_share")
 
     to_json_dict = _Record._json_dict
 

@@ -14,7 +14,7 @@ redistributes mass, never creates or destroys it.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Literal, NoReturn, Sequence
+from typing import NoReturn, Sequence
 
 from . import _EXPORTS
 from .core import (
@@ -25,6 +25,7 @@ from .core import (
     ZERO,
     _Record,
     _Row,
+    _check_policy,
     _check_weight_type,
     _exact_sums,
     _exact_total,
@@ -87,32 +88,26 @@ class TransformOptions(_Record):
 
     ``emit_zero_targets`` keeps every target key in the output (with mass 0
     where nothing arrived) so downstream schemas stay stable.
-    ``on_uncovered`` controls the coverage guard: erroring out, or dropping
-    uncovered keys while reporting the dropped mass.  Silent leakage is not
-    an option.
+    ``on_uncovered`` controls the coverage guard: ``"error"``, or
+    ``"drop_and_report"`` to drop uncovered keys while reporting the dropped
+    mass; any other value is a ``ValueError``.  Silent leakage is not an option.
     """
 
     __slots__ = _fields = ("emit_zero_targets", "on_uncovered")
+    _defaults = (True, "error")
 
-    def __init__(
-        self, emit_zero_targets: bool = True, on_uncovered: Literal["error", "drop_and_report"] = "error"
-    ) -> None:
-        object.__setattr__(self, "emit_zero_targets", emit_zero_targets)
-        object.__setattr__(self, "on_uncovered", on_uncovered)
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
+        _check_policy("on_uncovered", self.on_uncovered, ("error", "drop_and_report"))
 
 
 class TransformReceipt(_Record):
     """Exact accounting for one transform: where every unit of mass went."""
 
-    __slots__ = _fields = ("input_total", "output_total", "dropped_mass", "split_mass")
+    __slots__ = _fields = _exact = ("input_total", "output_total", "dropped_mass", "split_mass")
 
-    def __init__(
-        self, input_total: Fraction, output_total: Fraction, dropped_mass: Fraction, split_mass: Fraction
-    ) -> None:
-        object.__setattr__(self, "input_total", _check_weight_type(input_total))
-        object.__setattr__(self, "output_total", _check_weight_type(output_total))
-        object.__setattr__(self, "dropped_mass", _check_weight_type(dropped_mass))
-        object.__setattr__(self, "split_mass", _check_weight_type(split_mass))
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        super().__init__(*args, **kwargs)
         if self.input_total != self.output_total + self.dropped_mass:
             raise ValueError("receipt does not balance: input_total != output_total + dropped_mass")
 
@@ -121,8 +116,8 @@ class TransformReceipt(_Record):
 
 _FULLY_COVERED = CoverageReport(conformable=True, uncovered_keys=(), mass_at_risk=ZERO)
 
-# A covered entry with nonzero mass: the source's row of (target, numerator,
-# denominator) triples and the mass as its integer pair (numerator, denominator).
+# A covered entry with nonzero mass: the source's row (see ``core._Rows``) and
+# the mass as its integer pair (numerator, denominator).
 _Covered = tuple[_Row, int, int]
 
 

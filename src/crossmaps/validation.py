@@ -9,10 +9,8 @@ statistically meaningless).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import _EXPORTS
-from .core import Crossmap, Finding, MassArray, _Record, _check_weight_type, _exact_total, render_rational, validate_draft
+from .core import Crossmap, Finding, MassArray, _Record, _exact_total, render_rational, validate_draft
 
 __all__ = _EXPORTS["validation"]
 
@@ -25,11 +23,7 @@ class CoverageReport(_Record):
     """
 
     __slots__ = _fields = ("conformable", "uncovered_keys", "mass_at_risk")
-
-    def __init__(self, conformable: bool, uncovered_keys: tuple[str, ...], mass_at_risk: Fraction) -> None:
-        object.__setattr__(self, "conformable", conformable)
-        object.__setattr__(self, "uncovered_keys", uncovered_keys)
-        object.__setattr__(self, "mass_at_risk", _check_weight_type(mass_at_risk))
+    _exact = ("mass_at_risk",)
 
     to_json_dict = _Record._json_dict
 

@@ -350,6 +350,13 @@ class TestImportCrosswalk:
         assert warning.code == "equal_split_imputed"
         assert "review" in warning.message
 
+    def test_misspelled_split_policy_refused_before_reading(self):
+        # A typo must not take the equal_split branch, which imputes weights.
+        source = io.StringIO("from,to\nBLX,BEL\nBLX,LUX\n")
+        with pytest.raises(ValueError, match="'reject_splits', 'equal_split'"):
+            import_crosswalk(source, split_policy="reject")
+        assert source.tell() == 0
+
 
 class TestExportDot:
     def test_country_layout(self):

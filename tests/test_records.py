@@ -128,6 +128,40 @@ def test_record_value_semantics(name):
         assert repr(clone) == repr(record)
 
 
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_record_rebuilt_from_its_fields(name):
+    make, fields, _ = CASES[name]
+    record = make()
+    cls, values = type(record), [getattr(record, f) for f in fields]
+    assert cls(*values) == record
+    assert cls(**dict(zip(fields, values))) == record
+    assert all(f in fields for f in getattr(cls, "_exact", ()))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_wrong_call_names_the_class(name):
+    make, fields, _ = CASES[name]
+    record = make()
+    cls, values = type(record), [getattr(record, f) for f in fields]
+    wrong_calls = [
+        lambda: cls(*values, not_a_field=1),
+        lambda: cls(*values, **{fields[0]: values[0]}),
+        lambda: cls(*values, None),
+    ]
+    required = len(fields) - len(getattr(cls, "_defaults", ()))
+    if required:
+        wrong_calls.append(lambda: cls(*values[: required - 1]))
+    for call in wrong_calls:
+        with pytest.raises(TypeError, match=name):
+            call()
+
+
+def test_trailing_fields_default_to_none():
+    assert Finding("error", "duplicate_edge", "a->x", "message").value is None
+    assert ImputationMetrics(COUNTS, 0, 1, HALF).realized_split_mass_share is None
+    assert TransformOptions() == TransformOptions(True, "error")
+
+
 def test_match_binds_fields_by_position():
     match Edge("a", "b", HALF):
         case Edge(source, target, weight):
@@ -275,6 +309,11 @@ EXACT_FIELD_BUILDERS = {
     "CoverageReport": (lambda v: CoverageReport(False, ("k",), v[0]), 1),
     "Finding": (lambda v: Finding("error", "negative_value", "k", "message", v[0]), 1),
     "ImputationMetrics": (lambda v: ImputationMetrics(COUNTS, 0, 1, v[0], v[1]), 2),
+    "ImputationMetrics_by_keyword": (
+        lambda v: ImputationMetrics(COUNTS, 0, 1, realized_split_mass_share=v[1], potential_split_share=v[0]),
+        2,
+    ),
+    "Finding_by_keyword": (lambda v: Finding("error", "negative_value", "k", message="message", value=v[0]), 1),
     "CoverageError": (lambda v: CoverageError(("k",), v[0]), 1),
 }
 
@@ -301,6 +340,10 @@ def test_caller_int_renders_as_a_library_built_receipt():
         lambda: ImputationMetrics(COUNTS, 0, 1, 0.5),
         lambda: ImputationMetrics(COUNTS, 0, 1, HALF, 0.25),
         lambda: CoverageError(("k",), 1.5),
+        lambda: CoverageReport(False, ("k",), None),
+        lambda: ImputationMetrics(COUNTS, 0, 1, None),
+        lambda: TransformReceipt(None, 1, 0, 0),
+        lambda: TransformReceipt(1, 1, dropped_mass=0, split_mass=None),
     ],
     ids=[
         "receipt_input",
@@ -314,6 +357,10 @@ def test_caller_int_renders_as_a_library_built_receipt():
         "metrics_potential",
         "metrics_realized",
         "coverage_error",
+        "coverage_report_none",
+        "metrics_potential_none",
+        "receipt_none",
+        "receipt_keyword_none",
     ],
 )
 def test_inexact_field_refused(build):

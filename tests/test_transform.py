@@ -96,6 +96,13 @@ class TestApplyTransform:
         assert receipt.input_total == receipt.output_total + receipt.dropped_mass
         assert output.total == Fraction(1)
 
+    def test_misspelled_on_uncovered_refused(self):
+        # A typo must not take the drop branch, which loses the uncovered mass.
+        with pytest.raises(ValueError, match="'error', 'drop_and_report'"):
+            TransformOptions(on_uncovered="erorr")
+        with pytest.raises(ValueError, match="'error', 'drop_and_report'"):
+            TransformOptions(True, "drop")
+
     def test_missing_values_refused(self, country_map):
         with pytest.raises(MissingValueError) as excinfo:
             apply_transform(country_map, MassArray({"AUS": None}))
