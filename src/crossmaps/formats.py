@@ -98,8 +98,12 @@ def _check_header(name: str, rows: list[list[str]], expected: list[str]) -> None
         raise ParseError(name, [(1, f"header must be exactly {','.join(expected)!r}, got {got!r}")])
 
 
-def _csv_writer(buffer: io.StringIO) -> csv.writer:
-    return csv.writer(buffer, lineterminator="\n")
+def _csv_text(header: list[str], rows: Iterable[Iterable[str]]) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 def read_edge_list(source: str | Path | TextIO) -> EdgeListDraft:
@@ -146,9 +150,6 @@ def read_edge_list(source: str | Path | TextIO) -> EdgeListDraft:
 
 def write_edge_list(crossmap: Crossmap) -> str:
     """Canonical edge-list CSV: sorted rows, weights as exact ``p/q`` text."""
-    buffer = io.StringIO()
-    writer = _csv_writer(buffer)
-    writer.writerow(EDGE_HEADER)
     # Read from the rows, with no Edge or Fraction built; each distinct pair
     # is rendered once.
     rendered: dict[tuple[int, int], str] = {}
@@ -159,8 +160,7 @@ def write_edge_list(crossmap: Crossmap) -> str:
             if text is None:
                 text = rendered[n, d] = _render_ratio(n, d)
             lines.append((source, target, text))
-    writer.writerows(lines)
-    return buffer.getvalue()
+    return _csv_text(EDGE_HEADER, lines)
 
 
 def read_array(source: str | Path | TextIO) -> MassArray:
@@ -199,13 +199,10 @@ def read_array(source: str | Path | TextIO) -> MassArray:
 
 def write_array(array: MassArray) -> str:
     """Canonical array CSV: sorted keys, exact values, ``NA`` for missing."""
-    buffer = io.StringIO()
-    writer = _csv_writer(buffer)
-    writer.writerow(ARRAY_HEADER)
-    writer.writerows(
-        (key, MISSING_MARKER if value is None else render_rational(value)) for key, value in array.items()
+    return _csv_text(
+        ARRAY_HEADER,
+        ((key, MISSING_MARKER if value is None else render_rational(value)) for key, value in array.items()),
     )
-    return buffer.getvalue()
 
 
 def read_crosswalk(source: str | Path | TextIO) -> tuple[tuple[str, str], ...]:
@@ -236,12 +233,7 @@ def read_crosswalk(source: str | Path | TextIO) -> tuple[tuple[str, str], ...]:
 
 def write_crosswalk(pairs: Iterable[tuple[str, str]]) -> str:
     """Canonical crosswalk CSV, sorted by (from, to)."""
-    buffer = io.StringIO()
-    writer = _csv_writer(buffer)
-    writer.writerow(CROSSWALK_HEADER)
-    for pair in sorted(pairs):
-        writer.writerow(list(pair))
-    return buffer.getvalue()
+    return _csv_text(CROSSWALK_HEADER, sorted(pairs))
 
 
 def import_crosswalk(

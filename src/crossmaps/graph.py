@@ -139,7 +139,7 @@ def summarize(crossmap: Crossmap) -> CrossmapSummary:
     )
     return CrossmapSummary(
         target_rows=rows,
-        edge_count=len(crossmap.edges),
+        edge_count=len(crossmap),
         source_count=len(crossmap.sources),
         target_count=len(crossmap.targets),
         component_type_counts=_type_counts(crossmap),
@@ -186,7 +186,8 @@ def imputation_metrics(crossmap: Crossmap, array: MassArray | None = None) -> Im
         realized = ZERO if total == ZERO else entering / total
     return ImputationMetrics(
         component_type_counts=_type_counts(crossmap),
-        fractional_edge_count=sum(1 for row in crossmap._rows.values() for _, n, d in row if n != d),
+        # A lone edge has weight 1 and every edge of a split source less.
+        fractional_edge_count=len(crossmap) - len(crossmap.sources) + len(split),
         split_source_count=len(split),
         potential_split_share=Fraction(len(split), len(crossmap.sources)),
         realized_split_mass_share=realized,

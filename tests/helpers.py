@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from crossmaps.core import Crossmap, Edge, MassArray
+from crossmaps.core import Crossmap, Edge, Finding, MassArray, ValidationReport
 
 
 def country_crossmap() -> Crossmap:
@@ -99,3 +99,40 @@ def random_chain(rng: random.Random, length: int = 2, max_keys: int = 8) -> list
             )
         chain.append(Crossmap(edges))
     return chain
+
+
+def all_paths_reference(first: Crossmap, second: Crossmap) -> dict[tuple[str, str], Fraction]:
+    """Plain-Fraction composition: every path's weight product, summed per (source, target)."""
+    total: dict[tuple[str, str], Fraction] = {}
+    for left in first.edges:
+        for right in second.edges:
+            if right.source == left.target:
+                key = (left.source, right.target)
+                total[key] = total.get(key, Fraction(0)) + left.weight * right.weight
+    return total
+
+
+def reference_report(edges) -> ValidationReport:
+    """The crossmap conditions restated plainly, over the edges sorted by (source, target)."""
+    ordered = sorted(edges, key=lambda e: (e.source, e.target))
+    findings = []
+    if not ordered:
+        findings.append(Finding("error", "no_edges", "<map>", "a crossmap needs at least one edge"))
+    seen = set()
+    for e in ordered:
+        subject = f"{e.source}->{e.target}"
+        if (e.source, e.target) in seen:
+            findings.append(Finding("error", "duplicate_edge", subject, f"duplicate edge ({e.source}, {e.target})"))
+        seen.add((e.source, e.target))
+        if not 0 < e.weight <= 1:
+            findings.append(
+                Finding("error", "weight_out_of_range", subject, f"weight {e.weight} outside (0, 1]", e.weight)
+            )
+    sums: dict[str, Fraction] = {}
+    for e in ordered:
+        sums[e.source] = sums.get(e.source, Fraction(0)) + e.weight
+    for source, total in sorted(sums.items()):
+        if total != 1:
+            message = f"outgoing weights of source {source!r} sum to {total}, expected exactly 1"
+            findings.append(Finding("error", "weight_sum_not_one", source, message, total))
+    return ValidationReport(tuple(findings))

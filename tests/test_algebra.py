@@ -32,7 +32,7 @@ from crossmaps.datasets import occupation_recode
 from crossmaps.formats import read_edge_list, write_edge_list
 from crossmaps.transform import apply_transform
 
-from helpers import country_crossmap, random_chain, random_crossmap
+from helpers import all_paths_reference, country_crossmap, random_chain, random_crossmap
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -125,17 +125,6 @@ def layered_map(rng: random.Random, sources, targets: list[str], split_share: fl
         numerators = [rng.randint(1, 9) for _ in chosen]
         edges.extend(Edge(source, t, Fraction(n, sum(numerators))) for t, n in zip(chosen, numerators))
     return Crossmap(edges)
-
-
-def all_paths_reference(first: Crossmap, second: Crossmap) -> dict[tuple[str, str], Fraction]:
-    """Plain-Fraction composition: every path's weight product, summed per (source, target)."""
-    total: dict[tuple[str, str], Fraction] = {}
-    for left in first.edges:
-        for right in second.edges:
-            if right.source == left.target:
-                key = (left.source, right.target)
-                total[key] = total.get(key, Fraction(0)) + left.weight * right.weight
-    return total
 
 
 def weights_of(crossmap: Crossmap) -> dict[tuple[str, str], Fraction]:

@@ -35,7 +35,7 @@ from crossmaps.extraction import InProcessTransform, probe_blackbox
 from crossmaps.formats import import_crosswalk, read_array, read_edge_list, write_array
 from crossmaps.transform import TransformOptions, apply_transform
 
-from helpers import random_chain, random_crossmap, random_mass_array
+from helpers import random_chain, random_crossmap, random_mass_array, reference_report
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -205,32 +205,6 @@ class TestEdge:
         assert hash(edge) == hash(Edge("a", "b", HALF))
 
 
-def reference_report(edges) -> ValidationReport:
-    """The crossmap conditions restated plainly, over the edges sorted by (source, target)."""
-    ordered = sorted(edges, key=lambda e: (e.source, e.target))
-    findings = []
-    if not ordered:
-        findings.append(Finding("error", "no_edges", "<map>", "a crossmap needs at least one edge"))
-    seen = set()
-    for e in ordered:
-        subject = f"{e.source}->{e.target}"
-        if (e.source, e.target) in seen:
-            findings.append(Finding("error", "duplicate_edge", subject, f"duplicate edge ({e.source}, {e.target})"))
-        seen.add((e.source, e.target))
-        if not 0 < e.weight <= 1:
-            findings.append(
-                Finding("error", "weight_out_of_range", subject, f"weight {e.weight} outside (0, 1]", e.weight)
-            )
-    sums: dict[str, Fraction] = {}
-    for e in ordered:
-        sums[e.source] = sums.get(e.source, Fraction(0)) + e.weight
-    for source, total in sorted(sums.items()):
-        if total != 1:
-            message = f"outgoing weights of source {source!r} sum to {total}, expected exactly 1"
-            findings.append(Finding("error", "weight_sum_not_one", source, message, total))
-    return ValidationReport(tuple(findings))
-
-
 def rows_of(edges) -> dict[str, tuple[tuple[str, int, int], ...]]:
     """The edges as a crossmap's rows, restated plainly: sorted, grouped by source, weights as integer pairs."""
     ordered = sorted(edges, key=lambda e: (e.source, e.target))
@@ -361,6 +335,15 @@ class TestBuildCrossmap:
         edges = list(random_crossmap(random.Random(seed), max_sources=6, max_targets=6).edges)
         shuffler.shuffle(edges)
         assert_rows_are_the_crossmaps_own(Crossmap(edges))
+
+    @given(st.integers(0, 10_000), st.randoms(use_true_random=False))
+    def test_constructor_keeps_only_the_rows(self, seed, shuffler):
+        shuffled = list(random_crossmap(random.Random(seed), max_sources=6, max_targets=6).edges)
+        shuffler.shuffle(shuffled)
+        crossmap = Crossmap(shuffled)
+        assert crossmap.__dict__ == {}  # no copy of the edges beside the rows
+        assert crossmap.edges == tuple(sorted(shuffled, key=lambda e: (e.source, e.target)))
+        assert_rows_are_the_crossmaps_own(crossmap)
 
     def test_incoming_groups_sources_by_target(self):
         built = build_crossmap(country_draft())

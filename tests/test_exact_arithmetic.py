@@ -1,4 +1,4 @@
-"""The library's sums against a plain-Fraction reference written here.
+"""The library's sums against plain-Fraction references written in the tests.
 
 Each reference adds and multiplies ``Fraction`` objects one term at a time
 and imports nothing of the library's arithmetic, so the integer
@@ -19,7 +19,7 @@ from crossmaps.algebra import compose
 from crossmaps.core import Crossmap, Edge, EdgeListDraft, Finding, MassArray, validate_draft
 from crossmaps.transform import TransformOptions, apply_transform
 
-from helpers import _positive_partition, random_chain, random_crossmap, random_mass_array
+from helpers import _positive_partition, all_paths_reference, random_chain, random_crossmap, random_mass_array, reference_report
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -49,37 +49,6 @@ def reference_apply(crossmap: Crossmap, array: MassArray, options: TransformOpti
     for value in output.values():
         output_total += value
     return dict(sorted(output.items())), (input_total, output_total, dropped, split)
-
-
-def reference_compose(first: Crossmap, second: Crossmap) -> dict[tuple[str, str], Fraction]:
-    products: dict[tuple[str, str], Fraction] = {}
-    for left in first.edges:
-        for right in second.edges:
-            if right.source == left.target:
-                pair = (left.source, right.target)
-                products[pair] = products.get(pair, ZERO) + left.weight * right.weight
-    return dict(sorted(products.items()))
-
-
-def reference_findings(edges: list[Edge]) -> list[tuple[str, str, Fraction | None]]:
-    ordered = sorted(edges, key=lambda e: (e.source, e.target))
-    findings: list[tuple[str, str, Fraction | None]] = []
-    if not ordered:
-        findings.append(("no_edges", "<map>", None))
-    seen = set()
-    sums: dict[str, Fraction] = {}
-    for edge in ordered:
-        subject = f"{edge.source}->{edge.target}"
-        if (edge.source, edge.target) in seen:
-            findings.append(("duplicate_edge", subject, None))
-        seen.add((edge.source, edge.target))
-        if not ZERO < edge.weight <= ONE:
-            findings.append(("weight_out_of_range", subject, edge.weight))
-        sums[edge.source] = sums.get(edge.source, ZERO) + edge.weight
-    for source in sorted(sums):
-        if sums[source] != ONE:
-            findings.append(("weight_sum_not_one", source, sums[source]))
-    return findings
 
 
 def big_mass_array(rng: random.Random, keys) -> MassArray:
@@ -167,7 +136,7 @@ class TestComposeMatchesReference:
         chain = random_chain(random.Random(seed), length=length)
         composed = chain[0]
         for step in chain[1:]:
-            expected = reference_compose(composed, step)
+            expected = all_paths_reference(composed, step)
             composed = compose(composed, step)
             assert {(e.source, e.target): e.weight for e in composed.edges} == expected
 
@@ -177,7 +146,7 @@ class TestComposeMatchesReference:
         first = random_crossmap(rng, max_denominator=BIG)
         second = map_over(rng, first.targets, "u", BIG)
         composed = compose(first, second)
-        assert {(e.source, e.target): e.weight for e in composed.edges} == reference_compose(first, second)
+        assert {(e.source, e.target): e.weight for e in composed.edges} == all_paths_reference(first, second)
 
 
 class TestValidationMatchesReference:
@@ -194,14 +163,16 @@ class TestValidationMatchesReference:
         if edges and rng.random() < 0.5:
             edges.append(rng.choice(edges))
         findings = validate_draft(EdgeListDraft(edges)).findings
-        assert [(f.code, f.subject, f.value) for f in findings] == reference_findings(edges)
+        assert [(f.code, f.subject, f.value) for f in findings] == [
+            (f.code, f.subject, f.value) for f in reference_report(edges).findings
+        ]
         assert all(f.severity == "error" for f in findings)
 
     @given(st.integers(0, 10_000))
     def test_valid_maps_with_large_denominators(self, seed):
         crossmap = random_crossmap(random.Random(seed), max_denominator=BIG)
         assert validate_draft(EdgeListDraft(crossmap.edges)).findings == ()
-        assert reference_findings(list(crossmap.edges)) == []
+        assert [(f.code, f.subject, f.value) for f in reference_report(list(crossmap.edges)).findings] == []
 
 
     @pytest.mark.parametrize(

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from crossmaps import graph
+from crossmaps.algebra import compose
 from crossmaps.core import Crossmap, Edge, MassArray, identity_crossmap
+from crossmaps.datasets import occupation_recode
 from crossmaps.graph import (
     Component,
     RelationType,
@@ -20,7 +22,7 @@ from crossmaps.graph import (
 )
 from crossmaps.transform import CoverageError, NegativeMassError
 
-from helpers import country_crossmap, random_crossmap, random_mass_array
+from helpers import country_crossmap, random_chain, random_crossmap, random_mass_array
 from occupation_fixture import (
     EXPECTED_INCOMING_COUNTS,
     occupation_crossmap_from_rules,
@@ -303,3 +305,25 @@ class TestImputationMetrics:
     def test_zero_total_array_realizes_zero(self, occupation_splits_map):
         array = MassArray({"111111": 0, "111212": 0})
         assert imputation_metrics(occupation_splits_map, array).realized_split_mass_share == 0
+
+
+def assert_counts_match_a_scan_of_the_edges(crossmap: Crossmap) -> None:
+    assert imputation_metrics(crossmap).fractional_edge_count == sum(e.weight != 1 for e in crossmap.edges)
+    assert summarize(crossmap).edge_count == len(crossmap.edges)
+
+
+class TestEdgeCounts:
+    @given(st.integers(0, 10_000))
+    def test_random_maps(self, seed):
+        assert_counts_match_a_scan_of_the_edges(random_crossmap(random.Random(seed)))
+
+    @given(st.integers(0, 10_000), st.integers(2, 3))
+    def test_composed_chains(self, seed, length):
+        chain = random_chain(random.Random(seed), length=length)
+        composed = chain[0]
+        for step in chain[1:]:
+            composed = compose(composed, step)
+        assert_counts_match_a_scan_of_the_edges(composed)
+
+    def test_occupation_recode(self):
+        assert_counts_match_a_scan_of_the_edges(occupation_recode())

@@ -162,6 +162,14 @@ def test_trailing_fields_default_to_none():
     assert TransformOptions() == TransformOptions(True, "error")
 
 
+def test_misspelled_severity_refused():
+    # A finding that is neither an error nor a warning would leave its report ok.
+    with pytest.raises(ValueError, match="'error', 'warning'"):
+        Finding("eror", "weight_sum_not_one", "a", "message")
+    with pytest.raises(ValueError, match="'error', 'warning'"):
+        Finding(severity="Error", code="weight_sum_not_one", subject="a", message="message")
+
+
 def test_match_binds_fields_by_position():
     match Edge("a", "b", HALF):
         case Edge(source, target, weight):
