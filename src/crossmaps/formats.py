@@ -1,10 +1,11 @@
 """Bit-exact file formats: edge-list CSV, crosswalk CSV, array CSV, DOT, JSON.
 
-Readers are strict and report every malformed row with its line number in
-one pass.  Writers emit canonical bytes — sorted rows, weights as exact
-``p/q`` text, ``\\n`` line endings — so reading and re-writing a canonical
-file reproduces it exactly, and identical inputs always produce identical
-output bytes.
+Readers are strict and report every malformed row in one pass, at the line
+the row starts on, counting the lines inside quoted fields; a ``csv`` error
+ends reading and is listed after the problems found before it.  Writers emit
+canonical bytes — sorted rows, weights as exact ``p/q`` text, ``\\n`` line
+endings — so reading and re-writing a canonical file reproduces it exactly,
+and identical inputs always produce identical output bytes.
 
 ``NA`` (exact, case-sensitive) is the only missing-value marker in array
 files; an empty value cell is a parse error, because an accidental blank
@@ -18,7 +19,7 @@ import io
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Literal, TextIO, get_args
+from typing import Iterable, Iterator, Literal, TextIO, get_args
 
 from . import _EXPORTS
 from .core import (
@@ -82,20 +83,40 @@ def _read_text(source: str | Path | TextIO) -> tuple[str, str]:
     return name, text
 
 
-def _open_rows(source: str | Path | TextIO) -> tuple[str, list[list[str]]]:
+def _csv_rows(source: str | Path | TextIO, header: list[str], refused: list[str]) -> Iterator[list[str]]:
+    """Yield each row after an exact ``header`` that has as many fields.
+
+    The caller refuses the row it was just given by appending one message to
+    ``refused`` before taking the next.  Every problem is listed at the line
+    its row starts on, counting the lines inside quoted fields; a
+    ``csv.Error`` ends reading and is listed after the problems found before
+    it.  After the last row, any problems raise one ``ParseError``.
+    """
     name, text = _read_text(source)
     reader = csv.reader(io.StringIO(text, newline=""))
+    width, problems = len(header), []
     try:
-        return name, list(reader)
+        first = next(reader, None)
+        if first != header:
+            got = ",".join(first) if first is not None else "<empty file>"
+            problems.append((1, f"header must be exactly {','.join(header)!r}, got {got!r}"))
+        else:
+            for row in reader:
+                if len(row) == width:
+                    yield row
+                else:
+                    refused.append(f"expected {width} fields, got {len(row)}")
+                if refused:
+                    # The row's last line less the line breaks its quoted fields
+                    # hold (_read_text leaves "\n" the only one): no line number
+                    # is built for a row nobody refuses.
+                    line = reader.line_num - sum(field.count("\n") for field in row)
+                    problems.append((line, refused.pop()))
     except csv.Error as exc:
         # E.g. a field over csv.field_size_limit(): reported like any bad row.
-        raise ParseError(name, [(reader.line_num, str(exc))]) from exc
-
-
-def _check_header(name: str, rows: list[list[str]], expected: list[str]) -> None:
-    if not rows or rows[0] != expected:
-        got = ",".join(rows[0]) if rows else "<empty file>"
-        raise ParseError(name, [(1, f"header must be exactly {','.join(expected)!r}, got {got!r}")])
+        problems.append((reader.line_num, str(exc)))
+    if problems:
+        raise ParseError(name, problems)
 
 
 def _csv_text(header: list[str], rows: Iterable[Iterable[str]]) -> str:
@@ -113,38 +134,30 @@ def read_edge_list(source: str | Path | TextIO) -> EdgeListDraft:
     rows are collected with their line numbers.  Duplicate pairs are left
     for crossmap validation to report, since the draft must represent them.
     """
-    name, rows = _open_rows(source)
-    _check_header(name, rows, EDGE_HEADER)
-    problems: list[tuple[int, str]] = []
+    refused: list[str] = []
     edges: list[Edge] = []
     # Each distinct weight token is parsed and range-checked once; a token that
     # fails is never stored, so every line carrying it reports its own problem.
     weights: dict[str, Fraction] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 3:
-            problems.append((lineno, f"expected 3 fields, got {len(row)}"))
-            continue
-        raw_from, raw_to, raw_weight = row
+    for raw_from, raw_to, raw_weight in _csv_rows(source, EDGE_HEADER, refused):
         source, target = raw_from.strip(), raw_to.strip()
         if not source or not target:
-            problems.append((lineno, "blank key"))
+            refused.append("blank key")
             continue
         weight = weights.get(raw_weight)
         if weight is None:
             try:
                 weight = parse_rational(raw_weight)
             except ValueError as exc:
-                problems.append((lineno, str(exc)))
+                refused.append(str(exc))
                 continue
             n, d = weight.as_integer_ratio()
             # Fraction denominators are positive, so 0 < n/d <= 1 iff 0 < n <= d.
             if not 0 < n <= d:
-                problems.append((lineno, f"weight must be in (0, 1], got {render_rational(weight)}"))
+                refused.append(f"weight must be in (0, 1], got {render_rational(weight)}")
                 continue
             weights[raw_weight] = weight
         edges.append(Edge._from_clean(source, target, weight))
-    if problems:
-        raise ParseError(name, problems)
     return EdgeListDraft(edges)
 
 
@@ -169,21 +182,15 @@ def read_array(source: str | Path | TextIO) -> MassArray:
     Duplicate keys are parse errors — two rows claiming the same key means
     the file's provenance is already broken.
     """
-    name, rows = _open_rows(source)
-    _check_header(name, rows, ARRAY_HEADER)
-    problems: list[tuple[int, str]] = []
+    refused: list[str] = []
     entries: dict[str, Fraction | None] = {}
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            problems.append((lineno, f"expected 2 fields, got {len(row)}"))
-            continue
-        raw_key, raw_value = row
+    for raw_key, raw_value in _csv_rows(source, ARRAY_HEADER, refused):
         key = raw_key.strip()
         if not key:
-            problems.append((lineno, "blank key"))
+            refused.append("blank key")
             continue
         if key in entries:
-            problems.append((lineno, f"duplicate key {key!r}"))
+            refused.append(f"duplicate key {key!r}")
             continue
         if raw_value == MISSING_MARKER:
             entries[key] = None
@@ -191,9 +198,7 @@ def read_array(source: str | Path | TextIO) -> MassArray:
         try:
             entries[key] = parse_rational(raw_value)
         except ValueError as exc:
-            problems.append((lineno, str(exc)))
-    if problems:
-        raise ParseError(name, problems)
+            refused.append(str(exc))
     return MassArray._from_clean(dict(sorted(entries.items())))
 
 
@@ -207,27 +212,18 @@ def write_array(array: MassArray) -> str:
 
 def read_crosswalk(source: str | Path | TextIO) -> tuple[tuple[str, str], ...]:
     """Read a two-column ``from,to`` lookup table; duplicate pairs are errors."""
-    name, rows = _open_rows(source)
-    _check_header(name, rows, CROSSWALK_HEADER)
-    problems: list[tuple[int, str]] = []
-    pairs: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != 2:
-            problems.append((lineno, f"expected 2 fields, got {len(row)}"))
-            continue
-        raw_from, raw_to = row
+    refused: list[str] = []
+    # Insertion-ordered, so the pairs come back in file order.
+    pairs: dict[tuple[str, str], None] = {}
+    for raw_from, raw_to in _csv_rows(source, CROSSWALK_HEADER, refused):
         pair = (raw_from.strip(), raw_to.strip())
         if not pair[0] or not pair[1]:
-            problems.append((lineno, "blank key"))
+            refused.append("blank key")
             continue
-        if pair in seen:
-            problems.append((lineno, f"duplicate pair ({pair[0]}, {pair[1]})"))
+        if pair in pairs:
+            refused.append(f"duplicate pair ({pair[0]}, {pair[1]})")
             continue
-        seen.add(pair)
-        pairs.append(pair)
-    if problems:
-        raise ParseError(name, problems)
+        pairs[pair] = None
     return tuple(pairs)
 
 

@@ -199,6 +199,19 @@ AWKWARD_KEYS = st.text(KEY_ALPHABET, min_size=1, max_size=12)
 LINE_BREAKING_KEYS = st.text(
     st.sampled_from(["a", "b", " ", "\r", "\n", "\t", "\x00", "\x1c", "\u2028", ",", '"']), min_size=1, max_size=6
 )
+# Keys a writer quotes over several lines.
+MULTILINE_KEYS = st.lists(AWKWARD_KEYS, min_size=1, max_size=3).map("\n".join)
+# Each reader with its header, the fields after the key in a good row, and the
+# problem a blank last field gives.
+EVERY_READER = pytest.mark.parametrize(
+    ("reader", "header", "good", "blank_last"),
+    [
+        (read_edge_list, formats.EDGE_HEADER, ["x", "1"], "malformed rational ' '"),
+        (read_array, formats.ARRAY_HEADER, ["1"], "malformed rational ' '"),
+        (read_crosswalk, formats.CROSSWALK_HEADER, ["x"], "blank key"),
+    ],
+    ids=["edge_list", "array", "crosswalk"],
+)
 
 
 class TestQuoting:
@@ -276,6 +289,64 @@ class TestQuoting:
         # stream too: the key carries "\n", never the "\r" clean_key refuses.
         draft = read_edge_list(io.StringIO('from,to,weight\r\n"a\r\nb",x,1\r\n'))
         assert [(e.source, e.target, e.weight) for e in draft.edges] == [("a\nb", "x", ONE)]
+
+    @EVERY_READER
+    def test_problems_are_reported_at_the_line_the_row_starts_on(self, reader, header, good, blank_last):
+        rest = ",".join(good)
+        text = f'{",".join(header)}\n"a\n\nb",{rest}\n ,{rest}\n"c\nd",{rest},extra\n'
+        with pytest.raises(ParseError) as excinfo:
+            reader(io.StringIO(text))
+        width = len(header)
+        assert excinfo.value.problems == ((5, "blank key"), (6, f"expected {width} fields, got {width + 1}"))
+
+    @EVERY_READER
+    def test_problems_before_a_csv_error_are_kept(self, reader, header, good, blank_last):
+        rest = ",".join(good)
+        big = "k" * (csv.field_size_limit() + 1)
+        text = f'{",".join(header)}\n ,{rest}\n"a\nb",{rest},extra\n{big},{rest}\n'
+        with pytest.raises(ParseError) as excinfo:
+            reader(io.StringIO(text))
+        blank, count, (line, message) = excinfo.value.problems
+        assert blank == (2, "blank key")
+        assert count == (3, f"expected {len(header)} fields, got {len(header) + 1}")
+        assert line == 5
+        assert "field larger than field limit" in message
+
+    @EVERY_READER
+    @given(
+        rows=st.lists(
+            st.tuples(st.sampled_from(["good", "count", "blank", "blank_last"]), MULTILINE_KEYS, st.integers(0, 4)),
+            max_size=10,
+        )
+    )
+    def test_problem_lines_count_lines_inside_quoted_fields(self, reader, header, good, blank_last, rows):
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        width, expected = len(header), []
+        for i, (kind, key, count) in enumerate(rows):
+            # The line this row starts on, counted independently of csv.reader.
+            line = buffer.getvalue().count("\n") + 1
+            # The index keeps every key distinct after stripping, so no row is a duplicate.
+            key = f"{i}:{key}"
+            if kind == "good":
+                writer.writerow([key, *good])
+            elif kind == "count":
+                count = count if count != width else width + 1
+                writer.writerow([key] * count)
+                expected.append((line, f"expected {width} fields, got {count}"))
+            elif kind == "blank":
+                writer.writerow([" \n ", *good])
+                expected.append((line, "blank key"))
+            else:
+                writer.writerow([key, *good[:-1], " "])
+                expected.append((line, blank_last))
+        if not expected:
+            reader(io.StringIO(buffer.getvalue()))
+            return
+        with pytest.raises(ParseError) as excinfo:
+            reader(io.StringIO(buffer.getvalue()))
+        assert excinfo.value.problems == tuple(expected)
 
 
 def per_row_reference(header: list[str], rows) -> str:
