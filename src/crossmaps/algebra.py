@@ -16,7 +16,6 @@ from . import _EXPORTS
 from .core import (
     Crossmap,
     CrossmapError,
-    Edge,
     InvalidCrossmapError,
     ValidationReport,
     ZERO,
@@ -56,11 +55,11 @@ def to_matrix(crossmap: Crossmap) -> MatrixEncoding:
     """Dense matrix encoding in the crossmap's canonical key order."""
     col_index = {t: k for k, t in enumerate(crossmap.targets)}
     cells = []
-    for source in crossmap.sources:
-        row = [ZERO] * len(crossmap.targets)
-        for edge in crossmap.outgoing[source]:
-            row[col_index[edge.target]] = edge.weight
-        cells.append(tuple(row))
+    for row in crossmap._rows.values():
+        cell = [ZERO] * len(col_index)
+        for target, n, d in row:
+            cell[col_index[target]] = Fraction(n, d)
+        cells.append(tuple(cell))
     return MatrixEncoding(row_keys=crossmap.sources, col_keys=crossmap.targets, cells=tuple(cells))
 
 
@@ -153,6 +152,6 @@ def reverse(crossmap: Crossmap) -> Crossmap | ValidationReport:
     returns a report naming each such key with its exact reversed sum.
     """
     try:
-        return Crossmap(Edge._from_clean(e.target, e.source, e.weight) for e in crossmap.edges)
+        return Crossmap._from_rows(crossmap._columns)
     except InvalidCrossmapError as exc:
         return exc.report

@@ -111,7 +111,7 @@ class _Refusal(CrossmapError):
 
 def _load_crossmap(args: argparse.Namespace, path: str) -> Crossmap:
     try:
-        return Crossmap(read_edge_list(_source(args, path)).edges)
+        return Crossmap._from_rows(read_edge_list(_source(args, path))._rows)
     except InvalidCrossmapError as exc:
         exc.subject = path
         raise

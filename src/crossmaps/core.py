@@ -20,7 +20,7 @@ from collections.abc import ItemsView, Iterable, Iterator, Mapping, ValuesView
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd
-from operator import attrgetter
+from operator import itemgetter
 from sys import get_int_max_str_digits
 from typing import Hashable, Literal, NoReturn, TypeVar, get_args
 
@@ -36,10 +36,11 @@ _SEVERITIES: tuple[str, ...] = get_args(Severity)
 
 K = TypeVar("K", bound=Hashable)
 
-# The row contract, stated only here: ``Crossmap._rows`` maps each source, in sorted order,
-# to a non-empty row of (target, n, d) triples sorted by target, each weight the reduced
-# n/d with d > 0.  ``_from_rows`` trusts its caller for this layout and validates only the
-# crossmap conditions.  Beside core, algebra, formats, transform and validation read it.
+# The row contract, stated only here: ``EdgeListDraft._rows`` maps each source, in sorted order,
+# to a non-empty row of (target, n, d) triples sorted by target, each weight the reduced n/d
+# with d > 0.  A draft's rows may repeat a pair, in input order, and hold weights outside (0, 1].
+# ``_from_rows`` trusts its caller for this layout and validates only the crossmap conditions.
+# Beside core, algebra, extraction, formats, graph, transform and validation read it.
 _Row = tuple[tuple[str, int, int], ...]
 _Rows = dict[str, _Row]
 
@@ -257,6 +258,15 @@ def _render_ratio(n: int, d: int) -> str:
         raise ValueTooLongError(f"exact value has a numerator or denominator over {limit} digits") from None
 
 
+def _for_message(value: Fraction) -> str:
+    """An exact value as message text: :func:`render_rational`'s, or its size in bits when too long for that."""
+    try:
+        return render_rational(value)
+    except ValueTooLongError:
+        n, d = value.as_integer_ratio()
+        return f"too long to render: a {n.bit_length()}-bit numerator over a {d.bit_length()}-bit denominator"
+
+
 def _exact_pairs(terms: Iterable[tuple[K, int, int]]) -> dict[K, list[int]]:
     """Exact sum per key of the terms ``(key, numerator, denominator)``, denominators positive.
 
@@ -372,16 +382,88 @@ class Edge(_Record):
 # these skip the generic object.__setattr__ lookup on the hot trusted path.
 _set_source, _set_target, _set_weight = (Edge.__dict__[name].__set__ for name in ("source", "target", "weight"))
 
-_EDGE_ORDER = attrgetter("source", "target")
+_TARGET = itemgetter(0)
 
 
 class EdgeListDraft(_Record):
-    """Unvalidated edge list, the staging form for crossmap construction."""
+    """Unvalidated edge list, the staging form for crossmap construction.
 
-    __slots__ = _fields = ("edges",)
+    A draft holds only ``_rows``, laid out as the comment on ``_Rows`` states.
+    ``edges``, sorted by (source, target) with a pair's repeats in input
+    order, and ``outgoing``, each source's run of ``edges``, are built from
+    the rows on first read.  Drafts of the same edges compare equal whatever
+    their order, but for the order of a pair's repeats.
+    """
 
-    def __init__(self, edges: Iterable[Edge]) -> None:
-        object.__setattr__(self, "edges", tuple(edges))
+    # The instance dict holds only the cached views.
+    _fields = ("edges",)
+    __slots__ = ("_rows", "__dict__")
+    _rows: _Rows
+
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        # Bound as any record's call, so a wrong call names the class: EdgeListDraft(edges).
+        (edges,) = self._bind(args, kwargs)
+        # Fraction's own slots, read directly: as_integer_ratio() or the numerator
+        # and denominator properties take about twice as long at 12.5k edges on 3.11.
+        self._set_rows(_rows_of((e.source, e.target, (w := e.weight)._numerator, w._denominator) for e in edges))
+
+    @classmethod
+    def _from_rows(cls, rows: _Rows) -> EdgeListDraft:
+        draft = object.__new__(cls)
+        draft._set_rows(rows)
+        return draft
+
+    def _set_rows(self, rows: _Rows) -> None:
+        object.__setattr__(self, "_rows", rows)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        # One Fraction per distinct weight, shared by every edge that carries it.
+        new_edge, weight, rows = Edge._from_clean, cache(Fraction), self._rows.items()
+        return tuple([new_edge(s, t, ONE if n == d else weight(n, d)) for s, row in rows for t, n, d in row])
+
+    @cached_property
+    def outgoing(self) -> Mapping[str, tuple[Edge, ...]]:
+        """Each source's row as a slice of ``edges``, in canonical order."""
+        edges, rows, end = self.edges, {}, 0
+        for source, row in self._rows.items():
+            start = end
+            end += len(row)
+            rows[source] = edges[start:end]
+        return rows
+
+    @cached_property
+    def sources(self) -> tuple[str, ...]:
+        return tuple(self._rows)
+
+    @cached_property
+    def targets(self) -> tuple[str, ...]:
+        return tuple(sorted({t for row in self._rows.values() for t, _, _ in row}))
+
+    @cached_property
+    def _columns(self) -> _Rows:
+        # The transpose in ``_Rows`` layout; rows come in source order, so each column fills sorted.
+        columns: dict[str, list[tuple[str, int, int]]] = {t: [] for t in self.targets}
+        for source, row in self._rows.items():
+            for target, n, d in row:
+                columns[target].append((source, n, d))
+        return {t: tuple(column) for t, column in columns.items()}
+
+    @cached_property
+    def incoming(self) -> Mapping[str, tuple[str, ...]]:
+        """Source keys grouped by target key, both in canonical order."""
+        return {t: tuple([s for s, _, _ in column]) for t, column in self._columns.items()}
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._rows == other._rows
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self._rows.items()))
+
+    def __len__(self) -> int:
+        return sum(map(len, self._rows.values()))
 
 
 class Finding(_Record):
@@ -419,33 +501,15 @@ class ValidationReport(_Record):
         return {"ok": self.ok, "findings": [f.to_json_dict() for f in self.findings]}
 
 
-class Crossmap(_Record):
+class Crossmap(EdgeListDraft):
     """Validated mass-preserving mapping between two key sets.
 
-    The map is ``_rows``, laid out as the comment on ``_Rows`` states, and
-    held once: the constructor keeps no ``Edge`` it was given.  ``edges``,
-    sorted by (source, target), and ``outgoing``, each source's run of
-    ``edges``, are built from the rows on first read, so a map that is only
+    A draft whose rows passed validation: building one from edges or rows
+    raises :class:`InvalidCrossmapError` otherwise.  A map that is only
     applied, composed or written builds no ``Edge``.
-    ``sources`` and ``targets`` are the sorted key sets actually appearing
-    on each side.  Maps of the same edges in any order compare equal.
     """
 
-    # The instance dict holds only the cached views.
-    _fields = ("edges",)
-    __slots__ = ("_rows", "__dict__")
-    _rows: _Rows
-
-    def __init__(self, edges: Iterable[Edge]) -> None:
-        self._set_rows(_rows_of(edges))
-
-    @classmethod
-    def _from_rows(cls, rows: _Rows) -> Crossmap:
-        # For rows the caller built in canonical order, each pair reduced with
-        # a positive denominator.  Validation runs and raises as in __init__.
-        crossmap = object.__new__(cls)
-        crossmap._set_rows(rows)
-        return crossmap
+    __slots__ = ()
 
     def _set_rows(self, rows: _Rows) -> None:
         report = _validate_rows(rows)
@@ -454,60 +518,15 @@ class Crossmap(_Record):
         object.__setattr__(self, "_rows", rows)
 
     @cached_property
-    def edges(self) -> tuple[Edge, ...]:
-        # One Fraction per distinct weight, shared as read_edge_list shares each token's.
-        new_edge, weight, rows = Edge._from_clean, cache(Fraction), self._rows.items()
-        return tuple([new_edge(s, t, ONE if n == d else weight(n, d)) for s, row in rows for t, n, d in row])
-
-    @cached_property
-    def outgoing(self) -> Mapping[str, tuple[Edge, ...]]:
-        """Each source's row as a slice of ``edges``, in canonical order."""
-        edges, rows, end = self.edges, {}, 0
-        for source, row in self._rows.items():
-            start = end
-            end += len(row)
-            rows[source] = edges[start:end]
-        return rows
-
-    @cached_property
-    def sources(self) -> tuple[str, ...]:
-        return tuple(self._rows)
-
-    @cached_property
-    def targets(self) -> tuple[str, ...]:
-        return tuple(sorted({t for row in self._rows.values() for t, _, _ in row}))
-
-    @cached_property
-    def incoming(self) -> Mapping[str, tuple[str, ...]]:
-        """Source keys grouped by target key, both in canonical order."""
-        grouped: dict[str, list[str]] = {t: [] for t in self.targets}
-        # Rows come in source order, so each list fills in sorted order.
-        for source, row in self._rows.items():
-            for target, _, _ in row:
-                grouped[target].append(source)
-        return {t: tuple(sources) for t, sources in grouped.items()}
-
-    @cached_property
     def split_sources(self) -> tuple[str, ...]:
         """Source keys with more than one outgoing edge (value is divided)."""
         return tuple(s for s, row in self._rows.items() if len(row) > 1)
 
     @cached_property
     def _components(self) -> tuple:
-        # Cached like ``incoming``; graph.components is the documented accessor.
+        # The partition, cached like ``incoming``; graph.components is the documented accessor.
         from .graph import _find_components
         return _find_components(self)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self._rows == other._rows
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self._rows.items()))
-
-    def __len__(self) -> int:
-        return sum(map(len, self._rows.values()))
 
 
 class MassArray(Mapping):
@@ -584,19 +603,21 @@ def _out_of_range(source: str, target: str, n: int, d: int) -> Finding:
         severity="error",
         code="weight_out_of_range",
         subject=f"{source}->{target}",
-        message=f"weight {render_rational(weight)} outside (0, 1]",
+        message=f"weight {_for_message(weight)} outside (0, 1]",
         value=weight,
     )
 
 
-def _rows_of(edges: Iterable[Edge]) -> _Rows:
-    """The rows of edges in any order: sorted once by (source, target), then grouped by source."""
+def _rows_of(edges: Iterable[tuple[str, str, int, int]]) -> _Rows:
+    """The rows of ``(source, target, n, d)`` edges in any order, ``n/d`` reduced with ``d > 0``.
+
+    Grouped by source in one pass, then sorted: the sources, and each row by
+    target with a stable sort, so the repeats of a pair keep their input order.
+    """
     grouped: dict[str, list[tuple[str, int, int]]] = {}
-    # Fraction's own slots, read directly: as_integer_ratio() or the numerator
-    # and denominator properties take about twice as long at 12.5k edges on 3.11.
-    for e in sorted(edges, key=_EDGE_ORDER):
-        grouped.setdefault(e.source, []).append((e.target, (w := e.weight)._numerator, w._denominator))
-    return {source: tuple(row) for source, row in grouped.items()}
+    for source, target, n, d in edges:
+        grouped.setdefault(source, []).append((target, n, d))
+    return {source: tuple(sorted(grouped[source], key=_TARGET)) for source in sorted(grouped)}
 
 
 def _validate_rows(rows: _Rows) -> ValidationReport:
@@ -653,7 +674,7 @@ def _validate_rows(rows: _Rows) -> ValidationReport:
                 subject=source,
                 message=(
                     f"outgoing weights of source {source!r} sum to "
-                    f"{render_rational(total)}, expected exactly 1"
+                    f"{_for_message(total)}, expected exactly 1"
                 ),
                 value=total,
             )
@@ -668,7 +689,7 @@ def validate_draft(draft: EdgeListDraft) -> ValidationReport:
     an out-of-range weight each become a finding, so one pass surfaces the
     complete repair list.
     """
-    return _validate_rows(_rows_of(draft.edges))
+    return _validate_rows(draft._rows)
 
 
 def build_crossmap(draft: EdgeListDraft) -> Crossmap | ValidationReport:
@@ -677,7 +698,7 @@ def build_crossmap(draft: EdgeListDraft) -> Crossmap | ValidationReport:
     The result is independent of the draft's edge order.
     """
     try:
-        return Crossmap(draft.edges)
+        return Crossmap._from_rows(draft._rows)
     except InvalidCrossmapError as exc:
         return exc.report
 

@@ -25,4 +25,4 @@ def occupation_recode() -> Crossmap:
     each component is a rename or an aggregation.  The file is read once;
     every call returns the same immutable crossmap.
     """
-    return Crossmap(read_edge_list(occupation_recode_path()).edges)
+    return Crossmap._from_rows(read_edge_list(occupation_recode_path())._rows)

@@ -21,7 +21,6 @@ from typing import Sequence
 
 from .core import (
     Crossmap,
-    Edge,
     MassArray,
     ONE,
     ProbeError,
@@ -29,6 +28,7 @@ from .core import (
     _Record,
     _check_weight_type,
     _exact_total,
+    _rows_of,
     clean_key,
     render_rational,
 )
@@ -214,7 +214,7 @@ def probe_blackbox(
             for key in rest:
                 outputs[key] = probe(key)
 
-    edges: list[Edge] = []
+    edges: list[tuple[str, str, int, int]] = []
     nonconforming: list[tuple[str, Fraction]] = []
     for key in keys:
         weights: dict[str, Fraction] = {}
@@ -232,10 +232,10 @@ def probe_blackbox(
         if total != ONE or any(not 0 < w.numerator <= w.denominator for w in weights.values()):
             nonconforming.append((key, total))
         else:
-            edges.extend(Edge._from_clean(key, target, w) for target, w in weights.items())
+            edges.extend((key, target, *w.as_integer_ratio()) for target, w in weights.items())
 
     return ExtractionResult(
-        crossmap=None if nonconforming else Crossmap(edges),
+        crossmap=None if nonconforming else Crossmap._from_rows(_rows_of(edges)),
         raw_weights=outputs,
         nonconforming_sources=tuple(nonconforming),
         tolerance_used=tol,

@@ -25,14 +25,15 @@ from . import _EXPORTS
 from .core import (
     Crossmap,
     CrossmapError,
-    Edge,
     EdgeListDraft,
     Finding,
     MassArray,
     ONE,
     ValidationReport,
     _check_policy,
+    _for_message,
     _render_ratio,
+    _rows_of,
     parse_rational,
     render_rational,
 )
@@ -133,32 +134,35 @@ def read_edge_list(source: str | Path | TextIO) -> EdgeListDraft:
     Weights must parse exactly and lie in (0, 1]; blank keys and malformed
     rows are collected with their line numbers.  Duplicate pairs are left
     for crossmap validation to report, since the draft must represent them.
+    The rows are grouped as they are parsed, with no ``Edge`` built.
     """
     refused: list[str] = []
-    edges: list[Edge] = []
-    # Each distinct weight token is parsed and range-checked once; a token that
-    # fails is never stored, so every line carrying it reports its own problem.
-    weights: dict[str, Fraction] = {}
-    for raw_from, raw_to, raw_weight in _csv_rows(source, EDGE_HEADER, refused):
-        source, target = raw_from.strip(), raw_to.strip()
-        if not source or not target:
-            refused.append("blank key")
-            continue
-        weight = weights.get(raw_weight)
-        if weight is None:
-            try:
-                weight = parse_rational(raw_weight)
-            except ValueError as exc:
-                refused.append(str(exc))
+    # Each distinct weight token is parsed and range-checked once, to its reduced pair; a token
+    # that fails is never stored, so every line carrying it reports its own problem.
+    weights: dict[str, tuple[int, int]] = {}
+
+    def edges() -> Iterator[tuple[str, str, int, int]]:
+        for raw_from, raw_to, raw_weight in _csv_rows(source, EDGE_HEADER, refused):
+            from_key, to_key = raw_from.strip(), raw_to.strip()
+            if not from_key or not to_key:
+                refused.append("blank key")
                 continue
-            n, d = weight.as_integer_ratio()
-            # Fraction denominators are positive, so 0 < n/d <= 1 iff 0 < n <= d.
-            if not 0 < n <= d:
-                refused.append(f"weight must be in (0, 1], got {render_rational(weight)}")
-                continue
-            weights[raw_weight] = weight
-        edges.append(Edge._from_clean(source, target, weight))
-    return EdgeListDraft(edges)
+            pair = weights.get(raw_weight)
+            if pair is None:
+                try:
+                    weight = parse_rational(raw_weight)
+                except ValueError as exc:
+                    refused.append(str(exc))
+                    continue
+                pair = n, d = weight.as_integer_ratio()
+                # Fraction denominators are positive, so 0 < n/d <= 1 iff 0 < n <= d.
+                if not 0 < n <= d:
+                    refused.append(f"weight must be in (0, 1], got {_for_message(weight)}")
+                    continue
+                weights[raw_weight] = pair
+            yield from_key, to_key, *pair
+
+    return EdgeListDraft._from_rows(_rows_of(edges()))
 
 
 def write_edge_list(crossmap: Crossmap) -> str:
@@ -249,15 +253,13 @@ def import_crosswalk(
     """
     _check_policy("split_policy", split_policy, get_args(SplitPolicy))
     pairs = read_crosswalk(source)
-    targets_for: dict[str, list[str]] = {}
-    for from_key, to_key in pairs:
-        targets_for.setdefault(from_key, []).append(to_key)
+    fan_out: dict[str, int] = {}
+    for from_key, _ in pairs:
+        fan_out[from_key] = fan_out.get(from_key, 0) + 1
     findings: list[Finding] = []
-    edges: list[Edge] = []
-    for from_key in sorted(targets_for):
-        targets = targets_for[from_key]
-        if len(targets) == 1:
-            edges.append(Edge._from_clean(from_key, targets[0], ONE))
+    for from_key in sorted(fan_out):
+        count = fan_out[from_key]
+        if count == 1:
             continue
         if split_policy == "reject_splits":
             findings.append(
@@ -266,30 +268,29 @@ def import_crosswalk(
                     code="split_source",
                     subject=from_key,
                     message=(
-                        f"source {from_key!r} maps to {len(targets)} targets; a plain "
+                        f"source {from_key!r} maps to {count} targets; a plain "
                         "crosswalk carries no weights for splits"
                     ),
                 )
             )
             continue
-        share = Fraction(1, len(targets))
+        share = Fraction(1, count)
         findings.append(
             Finding(
                 severity="warning",
                 code="equal_split_imputed",
                 subject=from_key,
                 message=(
-                    f"source {from_key!r} split equally across {len(targets)} targets "
+                    f"source {from_key!r} split equally across {count} targets "
                     f"(weight {render_rational(share)} each): imputed equal split - review"
                 ),
                 value=share,
             )
         )
-        edges.extend(Edge._from_clean(from_key, t, share) for t in targets)
     report = ValidationReport(tuple(findings))
     if not report.ok:
         return None, report
-    return Crossmap(edges), report
+    return Crossmap._from_rows(_rows_of((s, t, 1, fan_out[s]) for s, t in pairs)), report
 
 
 def _dot_quote(text: str) -> str:

@@ -8,10 +8,10 @@ Renames and aggregations carry no imputation assumptions — their weights
 are forced to 1 — so partitioning a crossmap this way shows exactly where
 scrutiny belongs.
 
-Components are found by walking the crossmap's own two indexes, source to
-target through ``outgoing`` and target to source through ``incoming``, so
-the same key text on both sides (an identity edge) names two distinct
-nodes without any extra bookkeeping.
+Components are found by walking the crossmap's rows and columns (see
+``core._Rows``), source to target through a source's row and target to
+source through a target's column, so the same key text on both sides (an
+identity edge) names two distinct nodes without any extra bookkeeping.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Literal, get_args
 
 from . import _EXPORTS
-from .core import Crossmap, MassArray, ONE, ZERO, _Record, render_rational
+from .core import Crossmap, MassArray, ZERO, _Record, render_rational
 
 __all__ = _EXPORTS["graph"]
 
@@ -64,47 +64,50 @@ def components(crossmap: Crossmap) -> tuple[Component, ...]:
     Non-split relation types (one_to_one, many_to_one) are asserted to carry
     only unit weights — the weight-sum rule forces this, so a violation
     would mean a corrupted crossmap.  The partition is computed once per
-    crossmap and reused by every later call.
+    crossmap and reused by every later call, which builds only the records.
     """
-    return crossmap._components
+    outgoing = crossmap.outgoing
+    return tuple(
+        Component(sources, targets, tuple([e for s in sources for e in outgoing[s]]), relation)
+        for sources, targets, relation in crossmap._components
+    )
 
 
-def _find_components(crossmap: Crossmap) -> tuple[Component, ...]:
-    outgoing, incoming = crossmap.outgoing, crossmap.incoming
+def _find_components(crossmap: Crossmap) -> tuple[tuple[tuple[str, ...], tuple[str, ...], RelationType], ...]:
+    rows, columns = crossmap._rows, crossmap._columns
     seen: set[str] = set()
-    out: list[Component] = []
-    for start in crossmap.sources:
+    found = []
+    for start, start_row in rows.items():
         if start in seen:
             continue
         seen.add(start)
-        stack = [start]
+        stack = [start_row]
         member_sources = [start]
         member_targets: set[str] = set()
         while stack:
-            for edge in outgoing[stack.pop()]:
-                if edge.target in member_targets:
+            for target, _, _ in stack.pop():
+                if target in member_targets:
                     continue
-                member_targets.add(edge.target)
-                for source in incoming[edge.target]:
+                member_targets.add(target)
+                for source, _, _ in columns[target]:
                     if source not in seen:
                         seen.add(source)
-                        stack.append(source)
+                        stack.append(rows[source])
                         member_sources.append(source)
         sources = tuple(sorted(member_sources))
         targets = tuple(sorted(member_targets))
-        # Each source's outgoing edges are already in canonical order.
-        edges = tuple(e for s in sources for e in outgoing[s])
         relation = _relation_type(sources, targets)
         if relation in ("one_to_one", "many_to_one"):
-            assert all(e.weight == ONE for e in edges), "non-split component with fractional weight"
-        out.append(Component(sources=sources, targets=targets, edges=edges, relation_type=relation))
-    return tuple(out)
+            # Rows hold reduced pairs, so a unit weight is n == d.
+            assert all(n == d for s in sources for _, n, d in rows[s]), "non-split component with fractional weight"
+        found.append((sources, targets, relation))
+    return tuple(found)
 
 
 def _type_counts(crossmap: Crossmap) -> dict[RelationType, int]:
     counts: dict[RelationType, int] = {t: 0 for t in RELATION_TYPES}
-    for component in components(crossmap):
-        counts[component.relation_type] += 1
+    for _, _, relation in crossmap._components:
+        counts[relation] += 1
     return counts
 
 

@@ -21,7 +21,6 @@ from .core import (
     Crossmap,
     CrossmapError,
     MassArray,
-    ValueTooLongError,
     ZERO,
     _Record,
     _Row,
@@ -29,7 +28,7 @@ from .core import (
     _check_weight_type,
     _exact_sums,
     _exact_total,
-    render_rational,
+    _for_message,
 )
 from .validation import CoverageReport, check_array, check_coverage
 
@@ -51,11 +50,7 @@ class CoverageError(CrossmapError):
         self.mass_at_risk = _check_weight_type(mass_at_risk)
         self.step = step
         where = "" if step is None else f" at step {step}"
-        try:
-            mass = render_rational(self.mass_at_risk)
-        except ValueTooLongError:
-            n, d = self.mass_at_risk.as_integer_ratio()
-            mass = f"too long to render: a {n.bit_length()}-bit numerator over a {d.bit_length()}-bit denominator"
+        mass = _for_message(self.mass_at_risk)
         super().__init__(f"uncovered keys{where}: {', '.join(uncovered_keys)} (mass at risk {mass})")
 
 

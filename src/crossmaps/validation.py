@@ -10,7 +10,7 @@ statistically meaningless).
 from __future__ import annotations
 
 from . import _EXPORTS
-from .core import Crossmap, Finding, MassArray, _Record, _exact_total, render_rational, validate_draft
+from .core import Crossmap, Finding, MassArray, _Record, _exact_total, _for_message, validate_draft
 
 __all__ = _EXPORTS["validation"]
 
@@ -61,6 +61,6 @@ def check_array(array: MassArray) -> tuple[Finding, ...]:
             message = f"{key!r} is missing (NA); replace it with zero explicitly before transforming"
             findings.append(Finding("error", "missing_value", key, message))
         elif value.numerator < 0:
-            message = f"{key!r} has negative mass {render_rational(value)}"
+            message = f"{key!r} has negative mass {_for_message(value)}"
             findings.append(Finding("error", "negative_value", key, message, value))
     return tuple(findings)

@@ -1,8 +1,9 @@
-"""Shared fixtures and generators for randomised tests.
+"""Shared fixtures and generators for randomised tests, and the plain model they are checked against.
 
 Random crossmaps are built directly from the definition: pick target
 subsets per source, then weights as n_i / sum(n) over random positive
 integers, so every source's weights sum to exactly 1 by construction.
+The ``model_*`` functions restate the library's rules over plain data.
 """
 
 from __future__ import annotations
@@ -101,38 +102,116 @@ def random_chain(rng: random.Random, length: int = 2, max_keys: int = 8) -> list
     return chain
 
 
+def prime_edge_list(count: int = 2000) -> str:
+    """Edge-list text giving source ``a`` an edge of weight 1/p for each of the first ``count`` primes.
+
+    The weights' sum has a denominator, the product of the primes, with far
+    more digits than ``str`` may print.
+    """
+    primes: list[int] = []
+    candidate = 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return "from,to,weight\n" + "".join(f"a,t{p},1/{p}\n" for p in primes)
+
+
+def edge_triples(crossmap: Crossmap) -> list[tuple[str, str, Fraction]]:
+    """A crossmap's edges as the model's plain ``(source, target, weight)`` triples."""
+    return [(e.source, e.target, e.weight) for e in crossmap.edges]
+
+
 def all_paths_reference(first: Crossmap, second: Crossmap) -> dict[tuple[str, str], Fraction]:
     """Plain-Fraction composition: every path's weight product, summed per (source, target)."""
-    total: dict[tuple[str, str], Fraction] = {}
-    for left in first.edges:
-        for right in second.edges:
-            if right.source == left.target:
-                key = (left.source, right.target)
-                total[key] = total.get(key, Fraction(0)) + left.weight * right.weight
-    return total
+    return model_compose(edge_triples(first), edge_triples(second))
 
 
 def reference_report(edges) -> ValidationReport:
     """The crossmap conditions restated plainly, over the edges sorted by (source, target)."""
-    ordered = sorted(edges, key=lambda e: (e.source, e.target))
-    findings = []
+    triples = [(e.source, e.target, e.weight) for e in edges]
+    return ValidationReport(tuple(Finding("error", *finding) for finding in model_findings(triples)))
+
+
+# The model: the library's rules restated in plain Fraction code over plain
+# data, using none of the crossmaps types.  A map is a list of (source,
+# target, weight) triples, an array a dict of key -> Fraction.
+
+
+def model_findings(triples) -> list[tuple[str, str, str, Fraction | None]]:
+    """(code, subject, message, value) of each crossmap finding, in the library's order."""
+    ordered = sorted(triples, key=lambda e: (e[0], e[1]))
+    findings: list[tuple[str, str, str, Fraction | None]] = []
     if not ordered:
-        findings.append(Finding("error", "no_edges", "<map>", "a crossmap needs at least one edge"))
+        findings.append(("no_edges", "<map>", "a crossmap needs at least one edge", None))
     seen = set()
-    for e in ordered:
-        subject = f"{e.source}->{e.target}"
-        if (e.source, e.target) in seen:
-            findings.append(Finding("error", "duplicate_edge", subject, f"duplicate edge ({e.source}, {e.target})"))
-        seen.add((e.source, e.target))
-        if not 0 < e.weight <= 1:
-            findings.append(
-                Finding("error", "weight_out_of_range", subject, f"weight {e.weight} outside (0, 1]", e.weight)
-            )
+    for source, target, weight in ordered:
+        subject = f"{source}->{target}"
+        if (source, target) in seen:
+            findings.append(("duplicate_edge", subject, f"duplicate edge ({source}, {target})", None))
+        seen.add((source, target))
+        if not 0 < weight <= 1:
+            findings.append(("weight_out_of_range", subject, f"weight {weight} outside (0, 1]", weight))
     sums: dict[str, Fraction] = {}
-    for e in ordered:
-        sums[e.source] = sums.get(e.source, Fraction(0)) + e.weight
+    for source, _, weight in ordered:
+        sums[source] = sums.get(source, Fraction(0)) + weight
     for source, total in sorted(sums.items()):
         if total != 1:
             message = f"outgoing weights of source {source!r} sum to {total}, expected exactly 1"
-            findings.append(Finding("error", "weight_sum_not_one", source, message, total))
-    return ValidationReport(tuple(findings))
+            findings.append(("weight_sum_not_one", source, message, total))
+    return findings
+
+
+def model_compose(first, second) -> dict[tuple[str, str], Fraction]:
+    """Every path's weight product, summed per (source, target)."""
+    total: dict[tuple[str, str], Fraction] = {}
+    for source, middle, left in first:
+        for start, target, right in second:
+            if start == middle:
+                total[source, target] = total.get((source, target), Fraction(0)) + left * right
+    return total
+
+
+def model_apply(triples, array: dict[str, Fraction]) -> tuple[dict[str, Fraction], Fraction, Fraction]:
+    """(output per target, mass on keys with no edge, mass on sources with several edges)."""
+    fan_out: dict[str, int] = {}
+    for source, _, _ in triples:
+        fan_out[source] = fan_out.get(source, 0) + 1
+    output = {target: Fraction(0) for _, target, _ in triples}
+    for source, target, weight in triples:
+        output[target] += array.get(source, 0) * weight
+    dropped = sum((mass for key, mass in array.items() if key not in fan_out), Fraction(0))
+    split = sum((mass for key, mass in array.items() if fan_out.get(key, 0) > 1), Fraction(0))
+    return output, dropped, split
+
+
+def model_components(triples) -> list[tuple[tuple[str, ...], tuple[str, ...], str]]:
+    """(sources, targets, relation type) per connected component, by smallest source key."""
+    neighbours: dict[tuple[str, str], set[tuple[str, str]]] = {}
+    for source, target, _ in triples:
+        neighbours.setdefault(("s", source), set()).add(("t", target))
+        neighbours.setdefault(("t", target), set()).add(("s", source))
+    seen: set[tuple[str, str]] = set()
+    found = []
+    for start in sorted(node for node in neighbours if node[0] == "s"):
+        if start in seen:
+            continue
+        members, frontier = {start}, [start]
+        while frontier:
+            for node in neighbours[frontier.pop()] - members:
+                members.add(node)
+                frontier.append(node)
+        seen |= members
+        sources = tuple(sorted(key for side, key in members if side == "s"))
+        targets = tuple(sorted(key for side, key in members if side == "t"))
+        many = ("one", "many")
+        found.append((sources, targets, f"{many[len(sources) > 1]}_to_{many[len(targets) > 1]}"))
+    return found
+
+
+def model_equal_split(pairs) -> list[tuple[str, str, Fraction]]:
+    """A crosswalk's pairs as triples, each source's weight shared equally among its targets."""
+    counts: dict[str, int] = {}
+    for source, _ in pairs:
+        counts[source] = counts.get(source, 0) + 1
+    return [(source, target, Fraction(1, counts[source])) for source, target in pairs]

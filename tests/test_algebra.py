@@ -25,11 +25,14 @@ from crossmaps.core import (
     EdgeListDraft,
     MassArray,
     ValidationReport,
+    build_crossmap,
     identity_crossmap,
     validate_draft,
 )
 from crossmaps.datasets import occupation_recode
-from crossmaps.formats import read_edge_list, write_edge_list
+from crossmaps.extraction import InProcessTransform, probe_blackbox
+from crossmaps.formats import export_dot, import_crosswalk, read_edge_list, write_edge_list
+from crossmaps.graph import components, imputation_metrics, summarize
 from crossmaps.transform import apply_transform
 
 from helpers import all_paths_reference, country_crossmap, random_chain, random_crossmap
@@ -338,26 +341,44 @@ class TestComposedRows:
 
     @given(onto_occupation=st.booleans(), seed=st.integers(0, 10_000))
     def test_compose_and_write_build_no_edge_and_no_fraction(self, onto_occupation, seed):
-        calls = []
+        edges, fractions = [], []
         new_edge = Edge._from_clean
 
         def spy_edge(cls, *args):
-            calls.append(args)
+            edges.append(args)
             return new_edge(*args)
 
         def spy_fraction(*args):
-            calls.append(args)
+            fractions.append(args)
             return Fraction(*args)
 
         chain = composable_chain(random.Random(seed), onto_occupation)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Edge, "_from_clean", classmethod(spy_edge))
-            mp.setattr(algebra, "Fraction", spy_fraction)
-            composed = functools.reduce(compose, chain)
-            text = write_edge_list(composed)
-        assert calls == []
+            with pytest.MonkeyPatch.context() as fraction_mp:
+                fraction_mp.setattr(algebra, "Fraction", spy_fraction)
+                composed = functools.reduce(compose, chain)
+                text = write_edge_list(composed)
+            assert fractions == []
+            # Every other path that reads only the rows builds no Edge either.
+            draft = read_edge_list(io.StringIO(text))
+            assert validate_draft(draft).ok
+            built = build_crossmap(draft)
+            summarize(built)
+            imputation_metrics(built, MassArray(dict.fromkeys(built.sources, 1)))
+            reverse(built)
+            to_matrix(built)
+            crosswalk = "".join(line.rsplit(",", 1)[0] + "\n" for line in text.splitlines())
+            import_crosswalk(io.StringIO(crosswalk), "equal_split")
+            probe_blackbox(InProcessTransform(lambda a: apply_transform(built, a)[0]), built.sources)
+            assert edges == []
+            # components and export_dot read the Edge view, built once and cached.
+            components(built)
+            export_dot(built)
+            components(built)
         assert "edges" not in composed.__dict__
-        assert read_edge_list(io.StringIO(text)).edges == composed.edges
+        assert len(edges) == len(set(edges)) == len(built)
+        assert draft.edges == composed.edges
 
 
 class TestReverse:

@@ -41,6 +41,8 @@ from crossmaps.extraction import ProbeError
 from crossmaps.formats import ParseError, read_edge_list, to_json, write_edge_list
 from crossmaps.transform import CoverageError, MissingValueError, NegativeMassError, apply_transform
 
+from helpers import prime_edge_list
+
 HARNESS = Path(__file__).parent / "trunc_harness.py"
 
 COUNTRY_CSV = (
@@ -100,6 +102,22 @@ class TestValidate:
         (finding,) = err["findings"]
         assert finding["subject"] == "BLX"
         assert finding["value"] == "9/10"
+
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    def test_sum_too_long_to_print(self, json_flag, tmp_path, capsys):
+        # The text report lists the finding with the sum's size; the JSON
+        # documents, which carry the exact value, are the one too_long document.
+        path = tmp_path / "primes.csv"
+        path.write_text(prime_edge_list(), encoding="utf-8")
+        assert main(["validate", str(path), *json_flag]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.err)["error"] == "too_long"
+        if json_flag:
+            assert captured.out == ""
+        else:
+            line, verdict = captured.out.splitlines()
+            assert line.startswith("error weight_sum_not_one a: outgoing weights of source 'a' sum to too long to render: a ")
+            assert verdict == "invalid: 1 error(s)"
 
     def test_zero_weight_row_exits_one(self, tmp_path, capsys):
         path = tmp_path / "zero.csv"

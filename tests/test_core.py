@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 import random
 import re
 import sys
@@ -35,7 +36,7 @@ from crossmaps.extraction import InProcessTransform, probe_blackbox
 from crossmaps.formats import import_crosswalk, read_array, read_edge_list, write_array
 from crossmaps.transform import TransformOptions, apply_transform
 
-from helpers import random_chain, random_crossmap, random_mass_array, reference_report
+from helpers import prime_edge_list, random_chain, random_crossmap, random_mass_array, reference_report
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
@@ -231,6 +232,20 @@ DRAFT_EDGES = st.lists(
 )
 
 
+def shuffle_keeping_repeats(edges: list, shuffler: random.Random) -> list:
+    """The edges shuffled, but each pair's repeats kept in their relative order."""
+    order = list(edges)
+    shuffler.shuffle(order)
+    repeats: dict[tuple[str, str], list] = {}
+    for e in edges:
+        repeats.setdefault((e.source, e.target), []).append(e)
+    return [repeats[e.source, e.target].pop(0) for e in order]
+
+
+def edge_list_text(edges) -> str:
+    return "from,to,weight\n" + "".join(f"{e.source},{e.target},{e.weight}\n" for e in edges)
+
+
 class TestBuildCrossmap:
     def test_country_table_is_valid(self):
         built = build_crossmap(country_draft())
@@ -279,6 +294,21 @@ class TestBuildCrossmap:
                 Fraction(5, 2),
             ),
         )
+
+    def test_sum_too_long_to_print_keeps_its_finding(self):
+        draft = read_edge_list(io.StringIO(prime_edge_list()))
+        primes = [e.weight.denominator for e in draft.edges]
+        product = math.prod(primes)
+        report = validate_draft(draft)
+        (finding,) = report.findings
+        assert (finding.code, finding.subject) == ("weight_sum_not_one", "a")
+        assert finding.value == Fraction(sum(product // p for p in primes), product)
+        assert finding.message.startswith("outgoing weights of source 'a' sum to too long to render: a ")
+        assert finding.message.endswith(f"-bit numerator over a {product.bit_length()}-bit denominator, expected exactly 1")
+        assert build_crossmap(draft) == report
+        with pytest.raises(InvalidCrossmapError) as excinfo:
+            Crossmap(draft.edges)
+        assert excinfo.value.report == report
 
     def test_out_of_range_weights_reported(self):
         draft = EdgeListDraft(
@@ -329,6 +359,27 @@ class TestBuildCrossmap:
         assert report == reference_report(edges)
         if report.ok:
             assert_rows_are_the_crossmaps_own(Crossmap(edges))
+
+    @given(
+        st.integers(0, 10_000),
+        st.lists(st.tuples(st.integers(0, 100), DRAFT_WEIGHTS), max_size=4),
+        st.randoms(use_true_random=False),
+    )
+    def test_a_draft_is_its_rows_in_any_line_order(self, seed, repeats, shuffler):
+        crossmap = random_crossmap(random.Random(seed), max_sources=6, max_targets=6)
+        edges = list(crossmap.edges)
+        # Repeats of drawn pairs, with weights in and out of (0, 1].
+        edges += [Edge(edges[i % len(edges)].source, edges[i % len(edges)].target, w) for i, w in repeats]
+        draft = EdgeListDraft(edges)
+        readable = [e for e in edges if 0 < e.weight <= 1]
+        assert read_edge_list(io.StringIO(edge_list_text(readable))) == EdgeListDraft(readable)
+        shuffled = shuffle_keeping_repeats(edges, shuffler)
+        assert EdgeListDraft(shuffled) == draft
+        assert validate_draft(EdgeListDraft(shuffled)).findings == validate_draft(draft).findings
+        lines = read_edge_list(io.StringIO(edge_list_text([e for e in shuffled if 0 < e.weight <= 1])))
+        assert lines == EdgeListDraft(readable)
+        assert validate_draft(lines).findings == validate_draft(EdgeListDraft(readable)).findings
+        assert validate_draft(crossmap).findings == ()
 
     @given(st.integers(0, 10_000), st.randoms(use_true_random=False))
     def test_outgoing_rows_are_the_crossmaps_own_edges(self, seed, shuffler):

@@ -139,5 +139,11 @@ class TestCheckArray:
         assert finding.code == "negative_value"
         assert finding.value == Fraction(-3)
 
+    def test_negative_mass_too_long_to_print_is_still_flagged(self):
+        value = -Fraction(10**5000, 7)
+        (finding,) = check_array(MassArray({"a": value}))
+        assert (finding.code, finding.value) == ("negative_value", value)
+        assert finding.message == f"'a' has negative mass too long to render: a {(10**5000).bit_length()}-bit numerator over a 3-bit denominator"
+
     def test_clean_array_has_no_findings(self):
         assert check_array(MassArray({"a": 1, "b": Fraction(1, 3)})) == ()
