@@ -91,16 +91,14 @@ def compose(first: Crossmap, second: Crossmap) -> Crossmap:
     row, over both maps' rows (laid out as ``core._Rows`` states), and
     builds no ``Edge`` and no ``Fraction``:
 
-    - a unit row (a single edge, weight 1) of either map passes weights
-      on unchanged: a source of ``first`` with a single edge shares its
-      target's row of ``second``, and a path through a single-edge row of
-      ``second`` keeps the weight pair of its ``first`` edge;
+    - a source of ``first`` with a single edge (weight 1) shares its
+      target's row of ``second`` unchanged;
     - a split source whose paths all reach one target gets that one edge
       with weight exactly 1 and no arithmetic, because both rows on each
       of its paths sum to 1;
-    - elsewhere a path through a split row of ``second`` is an unreduced
-      integer product, paths that meet at one target are summed as
-      integer pairs, and each such edge is reduced with one ``gcd``.
+    - elsewhere each path is an unreduced integer product, paths that
+      meet at one target are summed as integer pairs, and each such edge
+      is reduced with one ``gcd``.
 
     Sources come in ``first``'s order and each row sorted by target, which
     is canonical order, so the result is validated once and not sorted
@@ -115,19 +113,10 @@ def compose(first: Crossmap, second: Crossmap) -> Crossmap:
         if len(lefts) == 1:
             composed[source] = rows[lefts[0][0]]
             continue
-        # Each target's paths as integer pairs: the left pair, passed on by a
-        # unit right row, or the product (a*n, b*d) through a split one.
+        # Each target's paths as unreduced integer products (a*n, b*d).
         reached: dict[str, list[tuple[int, int]]] = {}
         for middle, a, b in lefts:
-            rights = rows[middle]
-            if len(rights) == 1:
-                target = rights[0][0]
-                if target in reached:
-                    reached[target].append((a, b))
-                else:
-                    reached[target] = [(a, b)]
-                continue
-            for target, n, d in rights:
+            for target, n, d in rows[middle]:
                 reached.setdefault(target, []).append((a * n, b * d))
         if len(reached) == 1:
             composed[source] = ((next(iter(reached)), 1, 1),)

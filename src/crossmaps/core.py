@@ -40,7 +40,7 @@ K = TypeVar("K", bound=Hashable)
 # to a non-empty row of (target, n, d) triples sorted by target, each weight the reduced n/d
 # with d > 0.  A draft's rows may repeat a pair, in input order, and hold weights outside (0, 1].
 # ``_from_rows`` trusts its caller for this layout and validates only the crossmap conditions.
-# Beside core, algebra, extraction, formats, graph, transform and validation read it.
+# Beside core, algebra, cli, datasets, extraction, formats, graph, transform and validation read it.
 _Row = tuple[tuple[str, int, int], ...]
 _Rows = dict[str, _Row]
 
@@ -367,19 +367,9 @@ class Edge(_Record):
         _set_target(self, clean_key(target))
         _set_weight(self, _check_weight_type(weight))
 
-    @classmethod
-    def _from_clean(cls, source: str, target: str, weight: Fraction) -> Edge:
-        # For keys the caller already stripped and found non-empty and a
-        # weight that is already a Fraction.  Sets the fields, checks nothing.
-        edge = object.__new__(cls)
-        _set_source(edge, source)
-        _set_target(edge, target)
-        _set_weight(edge, weight)
-        return edge
-
 
 # The slot descriptors' own setters: _Record blocks plain assignment, and
-# these skip the generic object.__setattr__ lookup on the hot trusted path.
+# these skip the generic object.__setattr__ lookup in Edge.__init__.
 _set_source, _set_target, _set_weight = (Edge.__dict__[name].__set__ for name in ("source", "target", "weight"))
 
 _TARGET = itemgetter(0)
@@ -403,9 +393,7 @@ class EdgeListDraft(_Record):
     def __init__(self, *args: object, **kwargs: object) -> None:
         # Bound as any record's call, so a wrong call names the class: EdgeListDraft(edges).
         (edges,) = self._bind(args, kwargs)
-        # Fraction's own slots, read directly: as_integer_ratio() or the numerator
-        # and denominator properties take about twice as long at 12.5k edges on 3.11.
-        self._set_rows(_rows_of((e.source, e.target, (w := e.weight)._numerator, w._denominator) for e in edges))
+        self._set_rows(_rows_of((e.source, e.target, *e.weight.as_integer_ratio()) for e in edges))
 
     @classmethod
     def _from_rows(cls, rows: _Rows) -> EdgeListDraft:
@@ -419,8 +407,8 @@ class EdgeListDraft(_Record):
     @cached_property
     def edges(self) -> tuple[Edge, ...]:
         # One Fraction per distinct weight, shared by every edge that carries it.
-        new_edge, weight, rows = Edge._from_clean, cache(Fraction), self._rows.items()
-        return tuple([new_edge(s, t, ONE if n == d else weight(n, d)) for s, row in rows for t, n, d in row])
+        weight, rows = cache(Fraction), self._rows.items()
+        return tuple([Edge(s, t, ONE if n == d else weight(n, d)) for s, row in rows for t, n, d in row])
 
     @cached_property
     def outgoing(self) -> Mapping[str, tuple[Edge, ...]]:

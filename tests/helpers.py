@@ -102,19 +102,24 @@ def random_chain(rng: random.Random, length: int = 2, max_keys: int = 8) -> list
     return chain
 
 
-def prime_edge_list(count: int = 2000) -> str:
-    """Edge-list text giving source ``a`` an edge of weight 1/p for each of the first ``count`` primes.
-
-    The weights' sum has a denominator, the product of the primes, with far
-    more digits than ``str`` may print.
-    """
+def first_primes(count: int = 2000) -> list[int]:
+    """The first ``count`` primes: 2000 of them end at 17389."""
     primes: list[int] = []
     candidate = 2
     while len(primes) < count:
         if all(candidate % p for p in primes if p * p <= candidate):
             primes.append(candidate)
         candidate += 1
-    return "from,to,weight\n" + "".join(f"a,t{p},1/{p}\n" for p in primes)
+    return primes
+
+
+def prime_edge_list(count: int = 2000) -> str:
+    """Edge-list text giving source ``a`` an edge of weight 1/p for each of the first ``count`` primes.
+
+    The weights' sum has a denominator, the product of the primes, with far
+    more digits than ``str`` may print.
+    """
+    return "from,to,weight\n" + "".join(f"a,t{p},1/{p}\n" for p in first_primes(count))
 
 
 def edge_triples(crossmap: Crossmap) -> list[tuple[str, str, Fraction]]:
@@ -207,6 +212,14 @@ def model_components(triples) -> list[tuple[tuple[str, ...], tuple[str, ...], st
         many = ("one", "many")
         found.append((sources, targets, f"{many[len(sources) > 1]}_to_{many[len(targets) > 1]}"))
     return found
+
+
+def model_refusal(array: dict[str, Fraction | None]) -> tuple[str, tuple[str, ...]]:
+    """Why an array holding a missing or negative mass is refused: every missing key if any, else every negative key."""
+    missing = tuple(sorted(key for key, mass in array.items() if mass is None))
+    if missing:
+        return "missing", missing
+    return "negative", tuple(sorted(key for key, mass in array.items() if mass < 0))
 
 
 def model_equal_split(pairs) -> list[tuple[str, str, Fraction]]:

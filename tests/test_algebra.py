@@ -248,13 +248,12 @@ class TestCompose:
         # Unit left rows share the next row's own tuple of triples.
         for source in ("u", "v"):
             assert composed._rows[source] is second._rows["m"]
-        # Only the split row m is multiplied (s -> x, s -> y), and only the two
-        # paths meeting at x, one product and one passed-through 1/4, are summed.
+        # Only the two paths meeting at x, the product 1/6 through m and the
+        # product 1/4 through the unit row n, are summed.
         ((n, d, m, e),) = summed
         assert sorted([Fraction(n, d), Fraction(m, e)]) == [Fraction(1, 6), quarter]
         # Only s's row is reduced, once per edge: the sum at x, the lone
-        # unreduced product 2/6 at y, and s -> p -> z, which runs through a
-        # unit right row and keeps the left edge's own pair.
+        # unreduced product 2/6 at y, and the product 1/4 of s -> p -> z.
         assert reduced == [(5, 12), (2, 6), (1, 4)]
         assert composed._rows["s"] == (("x", 5, 12), ("y", 1, 3), ("z", 1, 4))
         # Both of c's paths end at x: the row collapses to one edge of weight
@@ -342,11 +341,11 @@ class TestComposedRows:
     @given(onto_occupation=st.booleans(), seed=st.integers(0, 10_000))
     def test_compose_and_write_build_no_edge_and_no_fraction(self, onto_occupation, seed):
         edges, fractions = [], []
-        new_edge = Edge._from_clean
+        new_edge = Edge.__init__
 
-        def spy_edge(cls, *args):
+        def spy_edge(self, *args):
             edges.append(args)
-            return new_edge(*args)
+            new_edge(self, *args)
 
         def spy_fraction(*args):
             fractions.append(args)
@@ -354,7 +353,7 @@ class TestComposedRows:
 
         chain = composable_chain(random.Random(seed), onto_occupation)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(Edge, "_from_clean", classmethod(spy_edge))
+            mp.setattr(Edge, "__init__", spy_edge)
             with pytest.MonkeyPatch.context() as fraction_mp:
                 fraction_mp.setattr(algebra, "Fraction", spy_fraction)
                 composed = functools.reduce(compose, chain)

@@ -384,6 +384,26 @@ class TestExtract:
             "message": "--tolerance must be a non-negative number, got '1/0'",
         }
 
+    def test_nonconforming_total_too_long_to_print_is_one_document(self, tmp_path, capsys):
+        # The probed key a gets 1/p on t<p> for the first 2,000 primes.
+        keys = tmp_path / "keys.txt"
+        keys.write_text("a\n", encoding="utf-8")
+        probe = (
+            "import sys; sys.stdin.read(); "
+            "p = [n for n in range(2, 17390) if all(n % q for q in range(2, int(n ** .5) + 1))]; "
+            'sys.stdout.write("key,value\\n" + "".join(f"t{q},1/{q}\\n" for q in p))'
+        )
+        out = tmp_path / "o.csv"
+        code = main(["extract", "--cmd", f"{sys.executable} -c '{probe}'", "--keys", str(keys), "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        document = json.loads(captured.err)
+        limit = sys.get_int_max_str_digits()
+        assert document == {"error": "too_long", "message": f"exact value has a numerator or denominator over {limit} digits"}
+        assert captured.err == to_json(document)
+        assert _leftovers(tmp_path) == []
+
     def test_non_utf8_probe_output_exits_three(self, tmp_path, capsys):
         keys = tmp_path / "keys.txt"
         keys.write_text("a\n", encoding="utf-8")

@@ -35,6 +35,7 @@ from crossmaps.core import (
 from crossmaps.extraction import InProcessTransform, probe_blackbox
 from crossmaps.formats import import_crosswalk, read_array, read_edge_list, write_array
 from crossmaps.transform import TransformOptions, apply_transform
+from crossmaps.validation import check_array
 
 from helpers import prime_edge_list, random_chain, random_crossmap, random_mass_array, reference_report
 
@@ -192,7 +193,8 @@ class TestEdge:
             Edge("a", blank, ONE)
 
     def test_trusted_edge_is_frozen_and_slotted(self):
-        edge = Edge._from_clean("a", "b", HALF)
+        # An edge of a map's view, built from the map's rows.
+        edge = Crossmap._from_rows({"a": (("b", 1, 2), ("c", 1, 2))}).edges[0]
         for field in ("source", "target", "weight"):
             value = getattr(edge, field)
             with pytest.raises(AttributeError):
@@ -309,6 +311,41 @@ class TestBuildCrossmap:
         with pytest.raises(InvalidCrossmapError) as excinfo:
             Crossmap(draft.edges)
         assert excinfo.value.report == report
+
+    @given(
+        kind=st.sampled_from(["below_one", "negative", "above_one"]),
+        extra_digits=st.integers(7, 40),
+        offset=st.integers(1, 10**6),
+        numerator=st.integers(1, 10**6),
+    )
+    def test_value_too_long_to_print_keeps_its_finding(self, kind, extra_digits, offset, numerator):
+        # The numerator shares at most 10**6 with the denominator, so the
+        # reduced denominator still has more digits than str may print.
+        denominator = 10 ** (sys.get_int_max_str_digits() + extra_digits) + offset
+        small = Fraction(numerator, denominator)
+        weight = {"below_one": small, "negative": -small, "above_one": 1 + small}[kind]
+        assert weight.denominator > 10 ** sys.get_int_max_str_digits()
+
+        def size(value: Fraction) -> str:
+            bits = abs(value.numerator).bit_length(), value.denominator.bit_length()
+            return "too long to render: a {}-bit numerator over a {}-bit denominator".format(*bits)
+
+        expected = []
+        if kind != "below_one":
+            expected.append(Finding("error", "weight_out_of_range", "a->x", f"weight {size(weight)} outside (0, 1]", weight))
+        message = f"outgoing weights of source 'a' sum to {size(weight)}, expected exactly 1"
+        expected.append(Finding("error", "weight_sum_not_one", "a", message, weight))
+        edges = [Edge("a", "x", weight)]
+        report = validate_draft(EdgeListDraft(edges))
+        assert report.findings == tuple(expected)
+        assert build_crossmap(EdgeListDraft(edges)) == report
+        with pytest.raises(InvalidCrossmapError) as excinfo:
+            Crossmap(edges)
+        assert excinfo.value.report == report
+        negative = -abs(weight)
+        assert check_array(MassArray({"a": negative})) == (
+            Finding("error", "negative_value", "a", f"'a' has negative mass {size(negative)}", negative),
+        )
 
     def test_out_of_range_weights_reported(self):
         draft = EdgeListDraft(

@@ -21,10 +21,10 @@ from crossmaps.extraction import (
     probe_blackbox,
     rationalize,
 )
-from crossmaps.formats import write_edge_list
+from crossmaps.formats import to_json, write_edge_list
 from crossmaps.transform import apply_transform
 
-from helpers import country_crossmap, random_crossmap
+from helpers import country_crossmap, first_primes, random_crossmap
 from occupation_fixture import banded_totals, occupation_crossmap_from_rules
 
 ONE = Fraction(1)
@@ -204,6 +204,18 @@ class TestInProcessProbing:
                 extraction._exact_tolerance("1e-4300")
         finally:
             sys.set_int_max_str_digits(limit)
+
+    def test_nonconforming_total_too_long_to_print_is_too_long(self):
+        # Key a sends 1/p to t<p> for the first 2,000 primes: its total is
+        # kept exactly, and only rendering it for the document fails.
+        primes = first_primes()
+        output = MassArray({f"t{p}": Fraction(1, p) for p in primes})
+        result = probe_blackbox(InProcessTransform(lambda array: output), ["a"])
+        product = math.prod(primes)
+        assert result.crossmap is None
+        assert result.nonconforming_sources == (("a", Fraction(sum(product // p for p in primes), product)),)
+        with pytest.raises(ValueTooLongError):
+            to_json(result)
 
     def test_nondeterminism_detected(self):
         outputs = iter(

@@ -20,10 +20,18 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, pr
 from crossmaps.algebra import CompositionError, compose, reverse
 from crossmaps.core import Crossmap, Edge, EdgeListDraft, InvalidCrossmapError, MassArray, ValidationReport, validate_draft
 from crossmaps.formats import import_crosswalk, read_array, read_edge_list, write_array, write_edge_list
-from crossmaps.graph import components
-from crossmaps.transform import CoverageError, TransformOptions, apply_transform
+from crossmaps.graph import components, imputation_metrics
+from crossmaps.transform import CoverageError, MissingValueError, NegativeMassError, TransformOptions, apply_transform
 
-from helpers import edge_triples, model_apply, model_components, model_compose, model_equal_split, model_findings
+from helpers import (
+    edge_triples,
+    model_apply,
+    model_components,
+    model_compose,
+    model_equal_split,
+    model_findings,
+    model_refusal,
+)
 from test_formats import MULTILINE_KEYS
 
 KEY_POOLS = st.lists(
@@ -119,6 +127,24 @@ class AlgebraMachine(RuleBasedStateMachine):
             assert apply_transform(composed, array, options)[0] == apply_transform(second, middle, options)[0]
         self.keep(composed, sorted((s, t, w) for (s, t), w in expected.items()))
 
+    def chains(self) -> list[tuple[int, int, int]]:
+        """Indices of pooled maps (a, b, c) where each map's targets are sources of the next."""
+        follows = [
+            [j for j, (second, _) in enumerate(self.maps) if set(first.targets) <= second._rows.keys()]
+            for first, _ in self.maps
+        ]
+        return [(i, j, k) for i, nexts in enumerate(follows) for j in nexts for k in follows[j]]
+
+    @precondition(lambda self: self.chains())
+    @rule(data=st.data())
+    def compose_three(self, data):
+        # compose is associative over three chained maps, and both sides match the model.
+        (a, left), (b, middle), (c, right) = (self.maps[i] for i in data.draw(st.sampled_from(self.chains())))
+        composed = compose(compose(a, b), c)
+        assert composed == compose(a, compose(b, c))
+        inner = [(s, t, w) for (s, t), w in model_compose(middle, right).items()]
+        assert {(s, t): w for s, t, w in edge_triples(composed)} == model_compose(left, inner)
+
     @precondition(lambda self: self.maps)
     @rule(data=st.data())
     def reverse_map(self, data):
@@ -160,6 +186,25 @@ class AlgebraMachine(RuleBasedStateMachine):
         assert (receipt.input_total, receipt.output_total) == (total, sum(output.values(), Fraction(0)))
         assert (receipt.dropped_mass, receipt.split_mass) == (dropped, split)
         assert receipt.input_total == receipt.output_total + receipt.dropped_mass
+
+    @precondition(lambda self: self.maps)
+    @rule(data=st.data(), drop=st.booleans())
+    def refuse_flawed_array(self, data, drop):
+        crossmap, _ = data.draw(st.sampled_from(self.maps))
+        keys = data.draw(st.lists(st.sampled_from(self.keys), min_size=1, max_size=5, unique=True))
+        masses = st.none() | st.fractions(min_value=-5, max_value=5, max_denominator=7)
+        entries = dict(zip(keys, data.draw(st.lists(masses, min_size=len(keys), max_size=len(keys)))))
+        if all(mass is not None and mass >= 0 for mass in entries.values()):
+            flaw = st.none() | st.fractions(max_value=-1, max_denominator=7)
+            entries[data.draw(st.sampled_from(keys))] = data.draw(flaw)
+        reason, flawed = model_refusal(entries)
+        error = {"missing": MissingValueError, "negative": NegativeMassError}[reason]
+        array = MassArray(entries)
+        options = TransformOptions(on_uncovered="drop_and_report" if drop else "error")
+        for refuse in (lambda: apply_transform(crossmap, array, options), lambda: imputation_metrics(crossmap, array)):
+            with pytest.raises(error) as excinfo:
+                refuse()
+            assert type(excinfo.value) is error and excinfo.value.keys == flawed
 
     @precondition(lambda self: self.maps)
     @rule(data=st.data())
