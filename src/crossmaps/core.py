@@ -40,9 +40,14 @@ K = TypeVar("K", bound=Hashable)
 # to a non-empty row of (target, n, d) triples sorted by target, each weight the reduced n/d
 # with d > 0.  A draft's rows may repeat a pair, in input order, and hold weights outside (0, 1].
 # ``_from_rows`` trusts its caller for this layout and validates only the crossmap conditions.
-# Beside core, algebra, cli, datasets, extraction, formats, graph, transform and validation read it.
+# Beside core, algebra, cli, datasets, extraction, formats, graph, transform and validation read it;
+# formats.export_dot renders from it and the cached partition, with no Edge built.
 _Row = tuple[tuple[str, int, int], ...]
 _Rows = dict[str, _Row]
+# The array layout, stated only here: ``MassArray._pairs`` maps each key, in sorted order, to its
+# mass as the reduced pair (n, d) with d > 0, or to None for a missing mass (NA).  ``_from_pairs``
+# trusts its caller for this layout.  Extraction, formats, transform and validation read it.
+_Pairs = dict[str, tuple[int, int] | None]
 
 
 class _Record:
@@ -216,6 +221,11 @@ def parse_rational(text: str) -> Fraction:
     10, so ``"0.1"`` becomes exactly 1/10 and never the binary double
     closest to 0.1.
     """
+    return Fraction(*_parse_ratio(text))
+
+
+def _parse_ratio(text: str) -> tuple[int, int]:
+    """:func:`parse_rational`'s value as the reduced pair ``(n, d)``, ``d`` positive, with no ``Fraction`` built."""
     token = text.strip()
     sign = -1 if token[:1] == "-" else 1
     if token[:1] in ("+", "-"):
@@ -225,19 +235,21 @@ def parse_rational(text: str) -> Fraction:
         num, den = num.rstrip(), den.lstrip()
         if not (num.isdecimal() and den.isdecimal()):
             raise ValueError(f"malformed rational {text!r}")
-        q = int(den)
-        if q == 0:
+        d = int(den)
+        if d == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(sign * int(num), q)
-    whole, _, frac = token.partition(".")
-    # Both parts may be empty, but not together: "123", "123.", ".5".
-    if not (whole + frac).isdecimal():
-        raise ValueError(f"malformed rational {text!r}")
-    if not frac:
-        return Fraction(sign * int(whole))
-    scale = 10 ** len(frac)
-    units = int(whole) * scale if whole else 0
-    return Fraction(sign * (units + int(frac)), scale)
+        n = int(num)
+    else:
+        whole, _, frac = token.partition(".")
+        # Both parts may be empty, but not together: "123", "123.", ".5".
+        if not (whole + frac).isdecimal():
+            raise ValueError(f"malformed rational {text!r}")
+        if not frac:
+            return sign * int(whole), 1
+        d = 10 ** len(frac)
+        n = (int(whole) * d if whole else 0) + int(frac)
+    g = gcd(n, d)
+    return sign * (n // g), d // g
 
 
 def render_rational(value: Fraction) -> str:
@@ -310,9 +322,9 @@ def _exact_sums(terms: Iterable[tuple[K, int, int]]) -> dict[K, Fraction]:
     return {key: Fraction(n, d) for key, (n, d) in _exact_pairs(terms).items()}
 
 
-def _exact_total(values: Iterable[Fraction]) -> Fraction:
-    """Exact sum of the values, through :func:`_exact_sums`; 0 when there are none."""
-    return _exact_sums((None, *v.as_integer_ratio()) for v in values).get(None, ZERO)
+def _exact_total(pairs: Iterable[tuple[int, int]]) -> Fraction:
+    """Exact sum of the ``(numerator, denominator)`` pairs, through :func:`_exact_sums`; 0 when there are none."""
+    return _exact_sums((None, n, d) for n, d in pairs).get(None, ZERO)
 
 
 def clean_key(text: str) -> str:
@@ -524,10 +536,22 @@ class MassArray(Mapping):
     source file; validation reports it and the transform refuses it.
     Entries are stored in sorted key order, so equal contents compare and
     serialise identically regardless of input order.
+
+    An array holds its masses once, as ``_pairs``, laid out as the comment
+    on ``_Pairs`` states.  Iteration, length, membership, ``total``,
+    ``missing_keys`` and equality between two arrays read only the pairs.
+    The mapping of ``Fraction`` values read by ``[]``, ``get``, ``items``,
+    ``values``, ``repr`` and pickling is a view of the pairs, built on the
+    first such read and then cached; its zeros share one ``Fraction``.  An
+    array this constructor builds keeps its checked values as that view
+    instead, so each ``Fraction`` comes back as it was given.
     """
 
-    __slots__ = _fields = ("_entries",)
-    # A record's pickling, copying and immutability; equality stays the Mapping's.
+    # The instance dict holds only the cached view.
+    _fields = ("_view",)
+    __slots__ = ("_pairs", "__dict__")
+    _pairs: _Pairs
+    # A record's pickling, copying and immutability; equality with other mappings stays the Mapping's.
     _values = _Record._values
     __reduce__ = _Record.__reduce__
     __setattr__ = _Record.__setattr__
@@ -535,54 +559,77 @@ class MassArray(Mapping):
 
     def __init__(self, entries: Mapping[str, Fraction | int | None] | Iterable[tuple[str, Fraction | int | None]]):
         items = entries.items() if isinstance(entries, Mapping) else entries
-        cleaned: dict[str, Fraction | None] = {}
+        view: dict[str, Fraction | None] = {}
+        pairs: _Pairs = {}
         for raw_key, raw_value in items:
             key = clean_key(raw_key)
-            if key in cleaned:
+            if key in view:
                 raise ValueError(f"duplicate key {key!r}")
-            cleaned[key] = None if raw_value is None else _check_weight_type(raw_value)
-        object.__setattr__(self, "_entries", dict(sorted(cleaned.items())))
+            if raw_value is None:
+                view[key] = pairs[key] = None
+            else:
+                value = view[key] = _check_weight_type(raw_value)
+                pairs[key] = value.as_integer_ratio()
+        order = sorted(view)
+        if order != list(view):
+            # Rebuilt only for keys out of order: an array's own items come in order.
+            view = {key: view[key] for key in order}
+            pairs = {key: pairs[key] for key in order}
+        self.__dict__["_view"] = view
+        _set_pairs(self, pairs)
 
     @classmethod
-    def _from_clean(cls, entries: dict[str, Fraction | None]) -> MassArray:
-        # For entries the library built or already checked: keys stripped,
-        # non-empty and unique, values Fraction or None, and the dict already
-        # in sorted key order.  Checks and sorts nothing, and keeps the dict
-        # itself, so the caller must not change it afterwards.  A caller
-        # whose keys come in another order passes dict(sorted(...)).
-        array = cls.__new__(cls)
-        object.__setattr__(array, "_entries", entries)
+    def _from_pairs(cls, pairs: _Pairs) -> MassArray:
+        # Checks and sorts nothing, and keeps the dict itself, so the caller
+        # must not change it afterwards.
+        array = object.__new__(cls)
+        _set_pairs(array, pairs)
         return array
 
+    @cached_property
+    def _view(self) -> dict[str, Fraction | None]:
+        return {key: None if p is None else Fraction(*p) if p[0] else ZERO for key, p in self._pairs.items()}
+
     def __getitem__(self, key: str) -> Fraction | None:
-        return self._entries[key]
+        return self._view[key]
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._entries)
+        return iter(self._pairs)
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._pairs)
 
-    # The backing dict's read-only views, instead of the Mapping mixins that
+    def __contains__(self, key: object) -> bool:
+        return key in self._pairs
+
+    # The view's own read-only views, instead of the Mapping mixins that
     # call __iter__ and __getitem__ once per entry.
     def items(self) -> ItemsView[str, Fraction | None]:
-        return self._entries.items()
+        return self._view.items()
 
     def values(self) -> ValuesView[Fraction | None]:
-        return self._entries.values()
+        return self._view.values()
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, MassArray):
+            return self._pairs == other._pairs
+        return Mapping.__eq__(self, other)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k!r}: {v}" for k, v in self._entries.items())
+        inner = ", ".join(f"{k!r}: {v}" for k, v in self._view.items())
         return f"MassArray({{{inner}}})"
 
     @property
     def total(self) -> Fraction:
         """Exact sum of all present masses; missing entries contribute nothing."""
-        # `if v` skips missing entries and zeros alike: neither adds to the sum.
-        return _exact_total(v for v in self._entries.values() if v)
+        # `p and p[0]` skips missing entries and zeros alike: neither adds to the sum.
+        return _exact_total(p for p in self._pairs.values() if p and p[0])
 
     def missing_keys(self) -> tuple[str, ...]:
-        return tuple(k for k, v in self._entries.items() if v is None)
+        return tuple(k for k, p in self._pairs.items() if p is None)
+
+
+_set_pairs = MassArray.__dict__["_pairs"].__set__
 
 
 def _out_of_range(source: str, target: str, n: int, d: int) -> Finding:

@@ -22,12 +22,13 @@ from typing import Sequence
 from .core import (
     Crossmap,
     MassArray,
-    ONE,
     ProbeError,
+    ValueTooLongError,
     ZERO,
     _Record,
     _check_weight_type,
-    _exact_total,
+    _exact_pairs,
+    _for_message,
     _rows_of,
     clean_key,
     render_rational,
@@ -95,14 +96,20 @@ class ExtractionResult(_Record):
     __slots__ = _fields = ("crossmap", "raw_weights", "nonconforming_sources", "tolerance_used", "rationalized")
 
     def to_json_dict(self) -> dict:
-        return {
+        """The result's document; a probe total too long to print raises :class:`ValueTooLongError` naming its source."""
+        nonconforming: list[dict] = []
+        document = {
             "extracted": self.crossmap is not None,
             "tolerance": render_rational(self.tolerance_used),
             "rationalized": self.rationalized,
-            "nonconforming_sources": [
-                {"source": s, "total": render_rational(total)} for s, total in self.nonconforming_sources
-            ],
+            "nonconforming_sources": nonconforming,
         }
+        for source, total in self.nonconforming_sources:
+            try:
+                nonconforming.append({"source": source, "total": render_rational(total)})
+            except ValueTooLongError:
+                raise ValueTooLongError(f"probe total of source {source!r} is {_for_message(total)}") from None
+        return document
 
 
 def rationalize(value: Fraction | int | str, max_denominator: int) -> Fraction:
@@ -147,9 +154,9 @@ def _exact_tolerance(value: Fraction | int | str) -> Fraction:
 
 
 def _identity_probe(sorted_keys: tuple[str, ...], hot: str) -> MassArray:
-    entries = dict.fromkeys(sorted_keys, ZERO)
-    entries[hot] = ONE
-    return MassArray._from_clean(entries)
+    pairs = dict.fromkeys(sorted_keys, (0, 1))
+    pairs[hot] = (1, 1)
+    return MassArray._from_pairs(pairs)
 
 
 def probe_blackbox(
@@ -214,25 +221,31 @@ def probe_blackbox(
             for key in rest:
                 outputs[key] = probe(key)
 
+    # Read on the outputs' integer pairs: a Fraction is built only to snap a
+    # weight, or for a nonconforming total.
+    tol_n, tol_d = tol.as_integer_ratio()
     edges: list[tuple[str, str, int, int]] = []
     nonconforming: list[tuple[str, Fraction]] = []
     for key in keys:
-        weights: dict[str, Fraction] = {}
-        for target, value in outputs[key].items():
-            # Most outputs are exact zeros: skip them before any Fraction work.
-            if not value or abs(value) <= tol:
+        weights: list[tuple[str, str, int, int]] = []
+        # probe refused missing values, so every output is a pair.
+        for target, (n, d) in outputs[key]._pairs.items():
+            # Most outputs are exact zeros; |n/d| <= tol is |n| * tol_d <= tol_n * d.
+            if not n or abs(n) * tol_d <= tol_n * d:
                 continue
             if snap:
+                value = Fraction(n, d)
                 snapped = rationalize(value, max_den)
                 # Within tol of a value more than tol from zero, so never zero itself.
                 if abs(snapped - value) <= tol:
-                    value = snapped
-            weights[target] = value
-        total = _exact_total(weights.values())
-        if total != ONE or any(not 0 < w.numerator <= w.denominator for w in weights.values()):
-            nonconforming.append((key, total))
+                    n, d = snapped.as_integer_ratio()
+            weights.append((key, target, n, d))
+        # Unreduced, but with a positive denominator the sum is 1 iff n == d.
+        total_n, total_d = _exact_pairs((None, n, d) for _, _, n, d in weights).get(None, (0, 1))
+        if total_n != total_d or any(not 0 < n <= d for _, _, n, d in weights):
+            nonconforming.append((key, Fraction(total_n, total_d)))
         else:
-            edges.extend((key, target, *w.as_integer_ratio()) for target, w in weights.items())
+            edges += weights
 
     return ExtractionResult(
         crossmap=None if nonconforming else Crossmap._from_rows(_rows_of(edges)),

@@ -28,13 +28,13 @@ from .core import (
     EdgeListDraft,
     Finding,
     MassArray,
-    ONE,
     ValidationReport,
+    _Pairs,
     _check_policy,
     _for_message,
+    _parse_ratio,
     _render_ratio,
     _rows_of,
-    parse_rational,
     render_rational,
 )
 
@@ -150,14 +150,13 @@ def read_edge_list(source: str | Path | TextIO) -> EdgeListDraft:
             pair = weights.get(raw_weight)
             if pair is None:
                 try:
-                    weight = parse_rational(raw_weight)
+                    pair = n, d = _parse_ratio(raw_weight)
                 except ValueError as exc:
                     refused.append(str(exc))
                     continue
-                pair = n, d = weight.as_integer_ratio()
-                # Fraction denominators are positive, so 0 < n/d <= 1 iff 0 < n <= d.
+                # The denominator is positive, so 0 < n/d <= 1 iff 0 < n <= d.
                 if not 0 < n <= d:
-                    refused.append(f"weight must be in (0, 1], got {_for_message(weight)}")
+                    refused.append(f"weight must be in (0, 1], got {_for_message(Fraction(n, d))}")
                     continue
                 weights[raw_weight] = pair
             yield from_key, to_key, *pair
@@ -184,33 +183,34 @@ def read_array(source: str | Path | TextIO) -> MassArray:
     """Read a ``key,value`` CSV; ``NA`` becomes an explicit missing marker.
 
     Duplicate keys are parse errors — two rows claiming the same key means
-    the file's provenance is already broken.
+    the file's provenance is already broken.  Each value is parsed straight
+    to its integer pair, with no ``Fraction`` built.
     """
     refused: list[str] = []
-    entries: dict[str, Fraction | None] = {}
+    pairs: _Pairs = {}
     for raw_key, raw_value in _csv_rows(source, ARRAY_HEADER, refused):
         key = raw_key.strip()
         if not key:
             refused.append("blank key")
             continue
-        if key in entries:
+        if key in pairs:
             refused.append(f"duplicate key {key!r}")
             continue
         if raw_value == MISSING_MARKER:
-            entries[key] = None
+            pairs[key] = None
             continue
         try:
-            entries[key] = parse_rational(raw_value)
+            pairs[key] = _parse_ratio(raw_value)
         except ValueError as exc:
             refused.append(str(exc))
-    return MassArray._from_clean(dict(sorted(entries.items())))
+    return MassArray._from_pairs(dict(sorted(pairs.items())))
 
 
 def write_array(array: MassArray) -> str:
     """Canonical array CSV: sorted keys, exact values, ``NA`` for missing."""
     return _csv_text(
         ARRAY_HEADER,
-        ((key, MISSING_MARKER if value is None else render_rational(value)) for key, value in array.items()),
+        ((key, MISSING_MARKER if pair is None else _render_ratio(*pair)) for key, pair in array._pairs.items()),
     )
 
 
@@ -306,30 +306,37 @@ def export_dot(crossmap: Crossmap) -> str:
     are dashed and labelled with their exact weight; unit edges are plain.
     The output is a pure function of the canonical crossmap.
     """
-    from .graph import components
-
+    rows = crossmap._rows
+    # Read from the rows and the cached partition, with no Edge built; each
+    # distinct fractional weight's label is rendered once.
+    labels: dict[tuple[int, int], str] = {}
     lines = [
         "digraph crossmap {",
         "  rankdir=LR;",
         "  node [shape=box];",
     ]
-    for index, component in enumerate(components(crossmap)):
+    for index, (sources, targets, _) in enumerate(crossmap._components):
         lines.append(f"  subgraph cluster_{index} {{")
-        for key in component.sources:
+        for key in sources:
             lines.append(f"    {_dot_quote('src:' + key)} [label={_dot_quote(key)}];")
-        for key in component.targets:
+        for key in targets:
             lines.append(f"    {_dot_quote('tgt:' + key)} [label={_dot_quote(key)}];")
-        source_rank = " ".join(f"{_dot_quote('src:' + k)};" for k in component.sources)
-        target_rank = " ".join(f"{_dot_quote('tgt:' + k)};" for k in component.targets)
+        source_rank = " ".join(f"{_dot_quote('src:' + k)};" for k in sources)
+        target_rank = " ".join(f"{_dot_quote('tgt:' + k)};" for k in targets)
         lines.append(f"    {{ rank=same; {source_rank} }}")
         lines.append(f"    {{ rank=same; {target_rank} }}")
-        for edge in component.edges:
-            head = f"    {_dot_quote('src:' + edge.source)} -> {_dot_quote('tgt:' + edge.target)}"
-            if edge.weight != ONE:
-                label = _dot_quote(render_rational(edge.weight))
-                lines.append(f"{head} [style=dashed, label={label}];")
-            else:
-                lines.append(f"{head};")
+        for source in sources:
+            tail = f"    {_dot_quote('src:' + source)} -> "
+            for target, n, d in rows[source]:
+                head = tail + _dot_quote("tgt:" + target)
+                # Reduced, so the weight is 1 iff n == d.
+                if n != d:
+                    label = labels.get((n, d))
+                    if label is None:
+                        label = labels[n, d] = _dot_quote(_render_ratio(n, d))
+                    lines.append(f"{head} [style=dashed, label={label}];")
+                else:
+                    lines.append(f"{head};")
         lines.append("  }")
     lines.append("}")
     return "\n".join(lines) + "\n"

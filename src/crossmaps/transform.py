@@ -14,6 +14,7 @@ redistributes mass, never creates or destroys it.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import NoReturn, Sequence
 
 from . import _EXPORTS
@@ -26,6 +27,7 @@ from .core import (
     _Row,
     _check_policy,
     _check_weight_type,
+    _exact_pairs,
     _exact_sums,
     _exact_total,
     _for_message,
@@ -139,10 +141,10 @@ def _require_clean(
     row_of = crossmap._rows.get
     covered: list[_Covered] = []
     uncovered = False
-    for key, mass in array.items():
+    for key, mass in array._pairs.items():
         if mass is None:
             _refuse_flawed(array)
-        p, q = mass.as_integer_ratio()
+        p, q = mass
         if p < 0:
             _refuse_flawed(array)
         row = row_of(key)
@@ -192,22 +194,26 @@ def apply_transform(
                 yield target, p * n, q * d
 
     # Masses and weights are positive, so every accumulated sum is too:
-    # none is a zero to leave out.
-    accumulated = _exact_sums(terms())
+    # none is a zero to leave out, and each is reduced once, here.
+    sums: dict[str, tuple[int, int]] = {}
+    for target, (n, d) in _exact_pairs(terms()).items():
+        g = gcd(n, d)
+        sums[target] = (n // g, d // g)
     input_total, split_mass = _split_totals(covered, coverage.mass_at_risk)
 
     if options.emit_zero_targets:
-        # crossmap.targets is sorted, so the entries come in key order.
-        entries = {t: accumulated.get(t, ZERO) for t in crossmap.targets}
+        # crossmap.targets is sorted, so the pairs come in key order.
+        pairs = {t: sums.get(t, (0, 1)) for t in crossmap.targets}
     else:
-        entries = dict(sorted(accumulated.items()))
+        pairs = dict(sorted(sums.items()))
     receipt = TransformReceipt(
         input_total=input_total,
-        output_total=_exact_total(accumulated.values()),
+        # Summed from the outputs, not taken from the input: the receipt's balance check.
+        output_total=_exact_total(sums.values()),
         dropped_mass=coverage.mass_at_risk,
         split_mass=split_mass,
     )
-    return MassArray._from_clean(entries), receipt
+    return MassArray._from_pairs(pairs), receipt
 
 
 def apply_sequence(

@@ -9,6 +9,8 @@ statistically meaningless).
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from . import _EXPORTS
 from .core import Crossmap, Finding, MassArray, _Record, _exact_total, _for_message, validate_draft
 
@@ -40,9 +42,9 @@ def check_coverage(crossmap: Crossmap, array: MassArray) -> CoverageReport:
     sources; they contribute nothing to ``mass_at_risk`` since they carry
     no known mass (``check_array`` flags them separately).
     """
-    rows = crossmap._rows
-    uncovered = tuple(k for k in array if k not in rows)
-    at_risk = _exact_total(array[k] for k in uncovered if array[k] is not None)
+    rows, pairs = crossmap._rows, array._pairs
+    uncovered = tuple(k for k in pairs if k not in rows)
+    at_risk = _exact_total(pairs[k] for k in uncovered if pairs[k] is not None)
     return CoverageReport(conformable=not uncovered, uncovered_keys=uncovered, mass_at_risk=at_risk)
 
 
@@ -56,11 +58,12 @@ def check_array(array: MassArray) -> tuple[Finding, ...]:
     place.
     """
     findings: list[Finding] = []
-    for key, value in array.items():
-        if value is None:
+    for key, pair in array._pairs.items():
+        if pair is None:
             message = f"{key!r} is missing (NA); replace it with zero explicitly before transforming"
             findings.append(Finding("error", "missing_value", key, message))
-        elif value.numerator < 0:
+        elif pair[0] < 0:
+            value = Fraction(*pair)
             message = f"{key!r} has negative mass {_for_message(value)}"
             findings.append(Finding("error", "negative_value", key, message, value))
     return tuple(findings)

@@ -399,8 +399,9 @@ class TestExtract:
         captured = capsys.readouterr()
         assert captured.out == ""
         document = json.loads(captured.err)
-        limit = sys.get_int_max_str_digits()
-        assert document == {"error": "too_long", "message": f"exact value has a numerator or denominator over {limit} digits"}
+        # The message names the source and gives the total's size in bits.
+        message = "probe total of source 'a' is too long to render: a 24857-bit numerator over a 24856-bit denominator"
+        assert document == {"error": "too_long", "message": message}
         assert captured.err == to_json(document)
         assert _leftovers(tmp_path) == []
 

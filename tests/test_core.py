@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import io
 import math
+import pickle
 import random
 import re
 import sys
@@ -35,7 +37,7 @@ from crossmaps.core import (
 from crossmaps.extraction import InProcessTransform, probe_blackbox
 from crossmaps.formats import import_crosswalk, read_array, read_edge_list, write_array
 from crossmaps.transform import TransformOptions, apply_transform
-from crossmaps.validation import check_array
+from crossmaps.validation import check_array, check_coverage
 
 from helpers import prime_edge_list, random_chain, random_crossmap, random_mass_array, reference_report
 
@@ -605,7 +607,7 @@ class TestLibraryBuiltArrays:
 
 
 class TestSortedEntriesContract:
-    """Every MassArray the library builds hands MassArray._from_clean entries already in key order."""
+    """Every MassArray the library builds hands MassArray._from_pairs pairs already in key order."""
 
     @given(st.integers(0, 10_000))
     def test_read_array_of_shuffled_rows(self, seed):
@@ -645,6 +647,140 @@ class TestSortedEntriesContract:
         assert list(result.raw_weights) == keys
         for array in probes + list(result.raw_weights.values()):
             assert_canonical(array)
+
+
+
+def array_text(rows: list[tuple[str, str]]) -> str:
+    return "key,value\n" + "".join(f"{k},{v}\n" for k, v in rows)
+
+
+def split_map_and_arrays(size: int) -> tuple[Crossmap, str, str]:
+    """A map whose sources s<i> alternate between a unit edge and a 1/3 + 2/3 split, and two arrays on it.
+
+    The first array covers every source; the second adds the uncovered key u.
+    Every size has the same shape, so only the number of keys grows.
+    """
+    sources = [f"s{i:04d}" for i in range(size)]
+    rows = {
+        s: ((f"t{i:04d}", 1, 1),) if i % 2 else ((f"t{i:04d}", 1, 3), (f"t{i + 1:04d}", 2, 3))
+        for i, s in enumerate(sources)
+    }
+    values = [(s, f"{i % 7}/{i % 5 + 1}") for i, s in enumerate(sources)]
+    return Crossmap._from_rows(rows), array_text(values), array_text([*values, ("u", "5/2")])
+
+
+class TestArrayPathBuildsNoFractionPerKey:
+    """The array layers work on integer pairs: a Fraction is built only for a total."""
+
+    @staticmethod
+    def count_fractions(size: int) -> int:
+        crossmap, covered_text, uncovered_text = split_map_and_arrays(size)
+        sources = crossmap.sources
+        # The probe target returns the map's own outputs, computed before counting,
+        # in the order a serial session probes: the first key twice, then every key.
+        outputs = {
+            hot: apply_transform(crossmap, MassArray({k: int(k == hot) for k in sources}))[0] for hot in sources
+        }
+        order = iter([sources[0], *sources])
+        built = []
+        new = Fraction.__new__
+
+        def spy(cls, *args, **kwargs):
+            built.append(args)
+            return new(cls, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Fraction, "__new__", spy)
+            for text, on_uncovered in ((covered_text, "error"), (uncovered_text, "drop_and_report")):
+                array = read_array(io.StringIO(text))
+                coverage = check_coverage(crossmap, array)
+                out, receipt = apply_transform(crossmap, array, TransformOptions(on_uncovered=on_uncovered))
+                write_array(out)
+            result = probe_blackbox(InProcessTransform(lambda array: outputs[next(order)]), sources)
+        assert coverage.mass_at_risk == Fraction(5, 2)
+        assert receipt.dropped_mass == Fraction(5, 2)
+        assert result.crossmap == crossmap
+        return len(built)
+
+    def test_count_does_not_grow_with_the_keys(self):
+        small, large = self.count_fractions(8), self.count_fractions(400)
+        # Only the receipts' and the coverage report's totals.
+        assert small == large <= 16
+
+
+sign = st.sampled_from(["", "+", "-"])
+digits = st.integers(0, 10**12).map(str)
+spaces = st.sampled_from(["", " ", "  "])
+value_token = st.one_of(
+    st.builds(lambda s, p, a, b, q: f"{s}{p}{a}/{b}{q}", sign, digits, spaces, spaces, st.integers(1, 10**6).map(str)),
+    st.builds(lambda s, w, f: f"{s}{w}.{f}", sign, digits, digits),
+    st.builds(lambda s, w: f"{s}{w}", sign, digits),
+    st.sampled_from([".5", "123.", "-0", "0/9", "+3/6", " 2 / 4 ", "NA"]),
+)
+array_rows = st.dictionaries(st.text("abcdefgh", min_size=1, max_size=3), value_token, max_size=8)
+
+
+def observe(array: MassArray) -> tuple:
+    """Everything a caller can read of an array, besides equality, pickling and hashing."""
+    return (
+        write_array(array),
+        array.total,
+        array.missing_keys(),
+        check_array(array),
+        repr(array),
+        list(array),
+        list(array.items()),
+        list(array.values()),
+        len(array),
+    )
+
+
+class TestArrayContract:
+    """Arrays read, transformed or built by the public constructor keep one contract."""
+
+    @given(array_rows)
+    @example({"a": "0.10", "b": "-0", "c": "+3/6", "d": " 2 / 4 ", "e": "7", "f": ".5", "g": "0/9", "h": "NA"})
+    def test_read_array_is_the_constructor_of_parsed_values(self, rows):
+        array = read_array(io.StringIO(array_text(list(rows.items()))))
+        expected = MassArray({k: None if v == "NA" else parse_rational(v) for k, v in rows.items()})
+        assert array == expected and observe(array) == observe(expected)
+        self.assert_contract(array)
+
+    @given(array_rows, st.booleans(), st.booleans())
+    def test_transformed_arrays(self, rows, emit_zero_targets, drop_one):
+        # A clean array on the drawn keys, through a map splitting every other key.
+        masses = {k: 0 if v == "NA" else abs(parse_rational(v)) for k, v in rows.items()}
+        keys = sorted(masses)
+        edges = [
+            edge
+            for i, k in enumerate(keys[drop_one:])
+            for edge in ((Edge(k, f"x{k}", ONE),) if i % 2 else (Edge(k, "y", Fraction(1, 3)), Edge(k, "z", Fraction(2, 3))))
+        ]
+        if not edges:
+            return
+        options = TransformOptions(emit_zero_targets=emit_zero_targets, on_uncovered="drop_and_report")
+        out, receipt = apply_transform(Crossmap(edges), MassArray(masses), options)
+        assert out.total == receipt.output_total
+        self.assert_contract(out)
+
+    def assert_contract(self, array: MassArray) -> None:
+        plain = dict(array.items())
+        assert observe(array) == observe(MassArray(plain)) == observe(read_array(io.StringIO(write_array(array))))
+        assert array == plain and plain == array
+        assert not (array != plain or plain != array)
+        probes = (*plain, "#")
+        assert [k in array for k in probes] == [k in plain for k in probes]
+        assert [array.get(k, "-") for k in probes] == [plain.get(k, "-") for k in probes]
+        assert array.total == sum((v for v in plain.values() if v is not None), Fraction(0))
+        assert array.missing_keys() == tuple(k for k, v in plain.items() if v is None)
+        assert repr(array) == "MassArray({" + ", ".join(f"{k!r}: {v}" for k, v in plain.items()) + "})"
+        assert write_array(array) == array_text(
+            [(k, "NA" if v is None else render_rational(v)) for k, v in plain.items()]
+        )
+        for clone in (pickle.loads(pickle.dumps(array)), copy.deepcopy(array)):
+            assert type(clone) is MassArray and clone == array and observe(clone) == observe(array)
+        with pytest.raises(TypeError):
+            hash(array)
 
 
 def assert_as_if_checked(edges) -> None:

@@ -101,8 +101,8 @@ class TestEdgeListFiles:
 
     def test_each_distinct_weight_token_is_parsed_once(self, monkeypatch):
         tokens = []
-        parse = formats.parse_rational
-        monkeypatch.setattr(formats, "parse_rational", lambda text: tokens.append(text) or parse(text))
+        parse = formats._parse_ratio
+        monkeypatch.setattr(formats, "_parse_ratio", lambda text: tokens.append(text) or parse(text))
         text = "from,to,weight\na,x,1/2\na,y,1/2\nb,x,0.5\nb,y,0.5\nc,x,1\nd,x,1/2\nd,y,1/2\n"
         edges = read_edge_list(io.StringIO(text)).edges
         assert sorted(tokens) == ["0.5", "1", "1/2"]

@@ -199,7 +199,7 @@ class TestMassArrayRecordRules:
 
     def test_entries_cannot_be_replaced_or_deleted(self):
         array = _array()
-        for name in ("_entries", "total"):
+        for name in ("_pairs", "_view", "total"):
             with pytest.raises(AttributeError):
                 setattr(array, name, {})
             with pytest.raises(AttributeError):
