@@ -328,13 +328,15 @@ def _exact_total(pairs: Iterable[tuple[int, int]]) -> Fraction:
 
 
 def clean_key(text: str) -> str:
-    """Strip surrounding whitespace and reject empty keys and keys holding ``\\r`` or NUL.
+    """Strip surrounding whitespace and reject non-``str``, empty keys and keys holding ``\\r`` or NUL.
 
     Keys are otherwise opaque and compared by exact byte equality; any
     normalisation beyond trimming is the caller's concern.  Both characters
     are refused because no CSV file can carry them back: text-mode reading
     turns a carriage return into ``\\n``, and the readers refuse NUL.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"keys must be str, not {type(text).__name__}")
     key = text.strip()
     if not key:
         raise ValueError("key is empty after trimming whitespace")
@@ -542,9 +544,7 @@ class MassArray(Mapping):
     ``missing_keys`` and equality between two arrays read only the pairs.
     The mapping of ``Fraction`` values read by ``[]``, ``get``, ``items``,
     ``values``, ``repr`` and pickling is a view of the pairs, built on the
-    first such read and then cached; its zeros share one ``Fraction``.  An
-    array this constructor builds keeps its checked values as that view
-    instead, so each ``Fraction`` comes back as it was given.
+    first such read and then cached; its zeros share one ``Fraction``.
     """
 
     # The instance dict holds only the cached view.
@@ -559,23 +559,16 @@ class MassArray(Mapping):
 
     def __init__(self, entries: Mapping[str, Fraction | int | None] | Iterable[tuple[str, Fraction | int | None]]):
         items = entries.items() if isinstance(entries, Mapping) else entries
-        view: dict[str, Fraction | None] = {}
         pairs: _Pairs = {}
-        for raw_key, raw_value in items:
+        for raw_key, value in items:
             key = clean_key(raw_key)
-            if key in view:
+            if key in pairs:
                 raise ValueError(f"duplicate key {key!r}")
-            if raw_value is None:
-                view[key] = pairs[key] = None
-            else:
-                value = view[key] = _check_weight_type(raw_value)
-                pairs[key] = value.as_integer_ratio()
-        order = sorted(view)
-        if order != list(view):
+            pairs[key] = None if value is None else _check_weight_type(value).as_integer_ratio()
+        order = sorted(pairs)
+        if order != list(pairs):
             # Rebuilt only for keys out of order: an array's own items come in order.
-            view = {key: view[key] for key in order}
             pairs = {key: pairs[key] for key in order}
-        self.__dict__["_view"] = view
         _set_pairs(self, pairs)
 
     @classmethod

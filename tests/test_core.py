@@ -165,6 +165,22 @@ class TestKeys:
     def test_byte_exact_comparison(self):
         assert Edge("a", "b", ONE) != Edge("A", "b", ONE)
 
+    @pytest.mark.parametrize("key", [1, None, b"a"], ids=["int", "none", "bytes"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda key: MassArray({key: 1}),
+            lambda key: Edge(key, "b", 1),
+            lambda key: Edge("a", key, 1),
+            lambda key: identity_crossmap([key]),
+            lambda key: probe_blackbox(InProcessTransform(lambda array: array), [key]),
+        ],
+        ids=["mass_array", "edge_source", "edge_target", "identity_crossmap", "probe_blackbox"],
+    )
+    def test_non_str_key_is_a_type_error(self, build, key):
+        with pytest.raises(TypeError, match=f"^keys must be str, not {type(key).__name__}$"):
+            build(key)
+
 
 class TestEdge:
     def test_strips_keys(self):
@@ -185,7 +201,6 @@ class TestEdge:
 
         weight = Tagged(1, 2)
         assert Edge("a", "b", weight).weight is weight
-        assert MassArray({"a": weight})["a"] is weight
 
     @pytest.mark.parametrize("blank", ["", " ", "\t\n"])
     def test_rejects_blank_keys(self, blank):
@@ -546,6 +561,15 @@ class TestMassArray:
         with pytest.raises(ValueError):
             MassArray({" \t": 1})
 
+    def test_fraction_subclass_value_comes_back_as_an_equal_fraction(self):
+        # The array keeps integer pairs, not the caller's objects.
+        class Tagged(Fraction):
+            pass
+
+        weight = Tagged(1, 2)
+        value = MassArray({"a": weight})["a"]
+        assert value == weight and type(value) is Fraction
+
 
 @pytest.fixture
 def entry_checks(monkeypatch) -> Counter:
@@ -762,6 +786,29 @@ class TestArrayContract:
         out, receipt = apply_transform(Crossmap(edges), MassArray(masses), options)
         assert out.total == receipt.output_total
         self.assert_contract(out)
+
+    @given(
+        st.dictionaries(
+            st.text("abcdefgh", min_size=1, max_size=3),
+            st.none() | st.integers(-3, 3) | st.fractions(min_value=-5, max_value=5, max_denominator=9),
+            max_size=8,
+        ),
+        st.randoms(use_true_random=False),
+    )
+    @example({"a": 0, "b": Fraction(0), "c": None, "d": Fraction(-1, 2)}, random.Random(0))
+    def test_constructor_keeps_only_the_pairs(self, entries, shuffler):
+        given_order = sorted(entries.items())
+        shuffler.shuffle(given_order)
+        for items in (sorted(entries.items()), given_order):
+            array = MassArray(items)
+            assert vars(array) == {}
+            assert array._pairs == {k: None if v is None else v.as_integer_ratio() for k, v in sorted(entries.items())}
+            assert list(array._pairs) == sorted(entries)
+            if entries:
+                array[min(entries)]
+                assert list(vars(array)) == ["_view"] and array._view == entries
+                assert all(v is core.ZERO for v in array._view.values() if v == 0)
+            self.assert_contract(array)
 
     def assert_contract(self, array: MassArray) -> None:
         plain = dict(array.items())

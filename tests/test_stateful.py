@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,8 @@ from helpers import (
     model_equal_split,
     model_findings,
     model_refusal,
+    random_chain,
+    random_mass_array,
 )
 from test_formats import MULTILINE_KEYS
 
@@ -250,3 +253,27 @@ class AlgebraMachine(RuleBasedStateMachine):
 
 AlgebraMachine.TestCase.settings = settings(max_examples=60, stateful_step_count=30, deadline=None)
 TestAlgebraMachine = AlgebraMachine.TestCase
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_wide_chains_match_the_model(seed):
+    # Maps of up to 200 keys a side, wider than the machine's pool ever draws.
+    rng = random.Random(seed)
+    a, b, c = random_chain(rng, length=3, max_keys=200)
+    left, middle, right = (edge_triples(crossmap) for crossmap in (a, b, c))
+    first = compose(a, b)
+    assert {(s, t): w for s, t, w in edge_triples(first)} == model_compose(left, middle)
+    composed = compose(first, c)
+    assert composed == compose(a, compose(b, c))
+    inner = [(s, t, w) for (s, t), w in model_compose(middle, right).items()]
+    assert {(s, t): w for s, t, w in edge_triples(composed)} == model_compose(left, inner)
+    array = random_mass_array(rng, a.sources)
+    assert apply_transform(first, array)[0] == apply_transform(b, apply_transform(a, array)[0])[0]
+    assert read_array(io.StringIO(write_array(array))) == array
+    for crossmap in (a, b, c, first, composed):
+        triples = edge_triples(crossmap)
+        assert [(x.sources, x.targets, x.relation_type) for x in components(crossmap)] == model_components(triples)
+        text = write_edge_list(crossmap)
+        assert Crossmap(read_edge_list(io.StringIO(text)).edges) == crossmap
+        output = apply_transform(crossmap, random_mass_array(rng, crossmap.sources))[0]
+        assert read_array(io.StringIO(write_array(output))) == output
