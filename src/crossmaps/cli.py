@@ -26,6 +26,7 @@ from .core import (
     InvalidCrossmapError,
     ValidationReport,
     ValueTooLongError,
+    _render_ratio,
     validate_draft,
 )
 from .formats import (
@@ -191,18 +192,24 @@ def _cmd_reverse(args: argparse.Namespace) -> None:
 
 
 def _cmd_classify(args: argparse.Namespace) -> None:
-    from .graph import components
-
+    # Rendered from the cached partition and the rows, with no Edge built.
     crossmap = _load_crossmap(args, args.edges)
-    found = components(crossmap)
+    found = crossmap._components
     if args.json:
-        sys.stdout.write(to_json([c.to_json_dict() for c in found]))
+        from .graph import _component_document
+
+        rows = crossmap._rows
+        documents = [
+            _component_document(
+                relation, sources, targets, ((s, t, _render_ratio(n, d)) for s in sources for t, n, d in rows[s])
+            )
+            for sources, targets, relation in found
+        ]
+        sys.stdout.write(to_json(documents))
     else:
-        for index, component in enumerate(found):
+        for index, (sources, targets, relation) in enumerate(found):
             sys.stdout.write(
-                f"component {index} [{component.relation_type}] "
-                f"sources: {', '.join(component.sources)} -> "
-                f"targets: {', '.join(component.targets)}\n"
+                f"component {index} [{relation}] sources: {', '.join(sources)} -> targets: {', '.join(targets)}\n"
             )
 
 

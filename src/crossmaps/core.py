@@ -41,7 +41,7 @@ K = TypeVar("K", bound=Hashable)
 # with d > 0.  A draft's rows may repeat a pair, in input order, and hold weights outside (0, 1].
 # ``_from_rows`` trusts its caller for this layout and validates only the crossmap conditions.
 # Beside core, algebra, cli, datasets, extraction, formats, graph, transform and validation read it;
-# formats.export_dot renders from it and the cached partition, with no Edge built.
+# formats.export_dot and `crossmap classify` render from it and the cached partition, with no Edge built.
 _Row = tuple[tuple[str, int, int], ...]
 _Rows = dict[str, _Row]
 # The array layout, stated only here: ``MassArray._pairs`` maps each key, in sorted order, to its
@@ -226,6 +226,16 @@ def parse_rational(text: str) -> Fraction:
 
 def _parse_ratio(text: str) -> tuple[int, int]:
     """:func:`parse_rational`'s value as the reduced pair ``(n, d)``, ``d`` positive, with no ``Fraction`` built."""
+    num, slash, den = text.partition("/")
+    if slash and num.isdecimal() and den.isdecimal():
+        # Bare "digits/digits", the form every writer emits: no sign or space
+        # to trim.  The denominator is read first, as below, so an over-limit
+        # token raises the same error; a zero one takes the path below.
+        d = int(den)
+        if d:
+            n = int(num)
+            g = gcd(n, d)
+            return n // g, d // g
     token = text.strip()
     sign = -1 if token[:1] == "-" else 1
     if token[:1] in ("+", "-"):
@@ -266,8 +276,12 @@ def _render_ratio(n: int, d: int) -> str:
     try:
         return str(n) if d == 1 else f"{n}/{d}"
     except ValueError:
-        limit = get_int_max_str_digits()
-        raise ValueTooLongError(f"exact value has a numerator or denominator over {limit} digits") from None
+        raise _too_long() from None
+
+
+def _too_long() -> ValueTooLongError:
+    """The error for a value whose ``str`` raised ``ValueError``: a part over ``sys.get_int_max_str_digits()`` digits."""
+    return ValueTooLongError(f"exact value has a numerator or denominator over {get_int_max_str_digits()} digits")
 
 
 def _for_message(value: Fraction) -> str:
@@ -279,37 +293,42 @@ def _for_message(value: Fraction) -> str:
         return f"too long to render: a {n.bit_length()}-bit numerator over a {d.bit_length()}-bit denominator"
 
 
-def _exact_pairs(terms: Iterable[tuple[K, int, int]]) -> dict[K, list[int]]:
-    """Exact sum per key of the terms ``(key, numerator, denominator)``, denominators positive.
+def _exact_pairs(rows: Iterable[tuple[Iterable[tuple[K, int, int]], int, int]]) -> dict[K, list[int]]:
+    """Exact sum per key of every row's terms, each term ``(key, n, d)`` of a row ``(terms, p, q)`` scaled by ``p/q``.
 
-    Each key keeps one integer numerator over a running common denominator,
-    which only ever grows to the lcm of its term denominators: a term whose
-    denominator divides it is scaled up to it, any other term rescales the
-    sum to the lcm.  The sums come back as unreduced ``[numerator,
-    denominator]`` pairs, with no ``Fraction`` object and no reduction per
-    term; the denominator stays positive.  Keys keep first-seen order.
+    All denominators are positive.  Each key keeps one integer numerator
+    over a running common denominator, which only ever grows to the lcm of
+    its term denominators: a term whose denominator divides it is scaled up
+    to it, any other term rescales the sum to the lcm.  The sums come back
+    as unreduced ``[numerator, denominator]`` pairs, with no ``Fraction``
+    object and no reduction per term; the denominator stays positive.  Keys
+    keep first-seen order.  ``apply_transform`` passes its covered entries,
+    each a source's row and mass, as the rows: the loop is its kernel.
     """
     acc: dict[K, list[int]] = {}
-    for key, n, d in terms:
-        pair = acc.get(key)
-        if pair is None:
-            acc[key] = [n, d]
-            continue
-        common = pair[1]
-        g = gcd(common, d)
-        if g == d:
-            pair[0] += n * (common // d)
-        else:
-            pair[0] = pair[0] * (d // g) + n * (common // g)
-            pair[1] = common // g * d
+    for terms, p, q in rows:
+        for key, n, d in terms:
+            n *= p
+            d *= q
+            pair = acc.get(key)
+            if pair is None:
+                acc[key] = [n, d]
+                continue
+            common = pair[1]
+            g = gcd(common, d)
+            if g == d:
+                pair[0] += n * (common // d)
+            else:
+                pair[0] = pair[0] * (d // g) + n * (common // g)
+                pair[1] = common // g * d
     return acc
 
 
 def _add_ratio(n: int, d: int, m: int, e: int) -> tuple[int, int]:
     """``n/d + m/e`` as an unreduced pair over the lcm of the positive denominators ``d`` and ``e``.
 
-    The same step as :func:`_exact_pairs`'s, which keeps its own inline copy:
-    a call per term there would slow ``apply_transform``.
+    The same step as :func:`_exact_pairs`'s, which writes it out inline
+    because it is ``apply_transform``'s per-term kernel.
     """
     g = gcd(d, e)
     if g == e:
@@ -317,14 +336,14 @@ def _add_ratio(n: int, d: int, m: int, e: int) -> tuple[int, int]:
     return n * (e // g) + m * (d // g), d // g * e
 
 
-def _exact_sums(terms: Iterable[tuple[K, int, int]]) -> dict[K, Fraction]:
-    """:func:`_exact_pairs` reduced once per key: the canonical ``Fraction`` sums."""
-    return {key: Fraction(n, d) for key, (n, d) in _exact_pairs(terms).items()}
+def _total_pair(pairs: Iterable[tuple[int, int]]) -> list[int] | tuple[int, int]:
+    """Exact sum of the ``(numerator, denominator)`` pairs by :func:`_exact_pairs`, unreduced; ``(0, 1)`` for none."""
+    return _exact_pairs([(((None, n, d) for n, d in pairs), 1, 1)]).get(None, (0, 1))
 
 
 def _exact_total(pairs: Iterable[tuple[int, int]]) -> Fraction:
-    """Exact sum of the ``(numerator, denominator)`` pairs, through :func:`_exact_sums`; 0 when there are none."""
-    return _exact_sums((None, n, d) for n, d in pairs).get(None, ZERO)
+    """:func:`_total_pair` reduced once: the canonical ``Fraction`` sum."""
+    return Fraction(*_total_pair(pairs))
 
 
 def clean_key(text: str) -> str:
@@ -565,11 +584,7 @@ class MassArray(Mapping):
             if key in pairs:
                 raise ValueError(f"duplicate key {key!r}")
             pairs[key] = None if value is None else _check_weight_type(value).as_integer_ratio()
-        order = sorted(pairs)
-        if order != list(pairs):
-            # Rebuilt only for keys out of order: an array's own items come in order.
-            pairs = {key: pairs[key] for key in order}
-        _set_pairs(self, pairs)
+        _set_pairs(self, _in_key_order(pairs))
 
     @classmethod
     def _from_pairs(cls, pairs: _Pairs) -> MassArray:
@@ -623,6 +638,18 @@ class MassArray(Mapping):
 
 
 _set_pairs = MassArray.__dict__["_pairs"].__set__
+
+
+def _in_key_order(pairs: _Pairs) -> _Pairs:
+    """``pairs`` itself when its keys are in sorted order, else a copy in that order.
+
+    Only keys out of order pay for a rebuild: an array's own items, and a
+    file an array was written to, come in order.
+    """
+    order = sorted(pairs)
+    if order != list(pairs):
+        pairs = {key: pairs[key] for key in order}
+    return pairs
 
 
 def _out_of_range(source: str, target: str, n: int, d: int) -> Finding:

@@ -27,9 +27,9 @@ from .core import (
     ZERO,
     _Record,
     _check_weight_type,
-    _exact_pairs,
     _for_message,
     _rows_of,
+    _total_pair,
     clean_key,
     render_rational,
 )
@@ -241,7 +241,7 @@ def probe_blackbox(
                     n, d = snapped.as_integer_ratio()
             weights.append((key, target, n, d))
         # Unreduced, but with a positive denominator the sum is 1 iff n == d.
-        total_n, total_d = _exact_pairs((None, n, d) for _, _, n, d in weights).get(None, (0, 1))
+        total_n, total_d = _total_pair((n, d) for _, _, n, d in weights)
         if total_n != total_d or any(not 0 < n <= d for _, _, n, d in weights):
             nonconforming.append((key, Fraction(total_n, total_d)))
         else:

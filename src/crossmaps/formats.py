@@ -7,6 +7,12 @@ canonical bytes — sorted rows, weights as exact ``p/q`` text, ``\\n`` line
 endings — so reading and re-writing a canonical file reproduces it exactly,
 and identical inputs always produce identical output bytes.
 
+The edge-list and array writers build their lines directly, with no
+``csv.writer``: a key is quoted, each ``"`` in it doubled, exactly when it
+holds ``,``, ``"`` or ``\\n``.  That rule gives the bytes ``csv.writer``
+gives every key a crossmap or an array can hold, and one helper,
+``_quoted``, holds it.
+
 ``NA`` (exact, case-sensitive) is the only missing-value marker in array
 files; an empty value cell is a parse error, because an accidental blank
 and a deliberate NA must never be confused.
@@ -33,8 +39,10 @@ from .core import (
     _check_policy,
     _for_message,
     _parse_ratio,
+    _in_key_order,
     _render_ratio,
     _rows_of,
+    _too_long,
     render_rational,
 )
 
@@ -128,6 +136,42 @@ def _csv_text(header: list[str], rows: Iterable[Iterable[str]]) -> str:
     return buffer.getvalue()
 
 
+def _quoted(key: str) -> str:
+    """A key as a CSV field: quoted, each ``"`` doubled, when it holds ``,``, ``"`` or ``\n``.
+
+    Byte for byte what ``csv.writer(lineterminator="\n")`` writes on Python
+    3.10 to 3.13 for every key the ``_Rows`` and ``_Pairs`` layouts admit:
+    non-empty, trimmed, with no ``\r`` and no NUL.  The versions differ on
+    ``\r``, NUL and a lone empty field, so ``write_crosswalk``, whose pairs
+    come unchecked, writes through ``csv.writer``.
+    """
+    if "," in key or '"' in key or "\n" in key:
+        return '"' + key.replace('"', '""') + '"'
+    return key
+
+
+def _key_value_text(header: list[str], lines: Iterable[tuple[str, tuple[int, int] | None]]) -> str:
+    """The header, then one ``key,value`` line per ``(key, pair)``, each ending in ``\n``.
+
+    The key comes as written, its fields already :func:`_quoted`; the value
+    is ``NA`` for ``None`` and :func:`_render_ratio`'s text of a pair, a
+    value too long to render raising its ``ValueTooLongError``.
+    """
+    out = [",".join(header)]
+    append = out.append
+    try:
+        for key, pair in lines:
+            if pair is None:
+                append(f"{key},{MISSING_MARKER}")
+            else:
+                n, d = pair
+                append(f"{key},{n}" if d == 1 else f"{key},{n}/{d}")
+    except ValueError:
+        raise _too_long() from None
+    out.append("")
+    return "\n".join(out)
+
+
 def read_edge_list(source: str | Path | TextIO) -> EdgeListDraft:
     """Read a ``from,to,weight`` CSV into a draft for validation.
 
@@ -166,17 +210,15 @@ def read_edge_list(source: str | Path | TextIO) -> EdgeListDraft:
 
 def write_edge_list(crossmap: Crossmap) -> str:
     """Canonical edge-list CSV: sorted rows, weights as exact ``p/q`` text."""
-    # Read from the rows, with no Edge or Fraction built; each distinct pair
-    # is rendered once.
-    rendered: dict[tuple[int, int], str] = {}
-    lines = []
-    for source, row in crossmap._rows.items():
-        for target, n, d in row:
-            text = rendered.get((n, d))
-            if text is None:
-                text = rendered[n, d] = _render_ratio(n, d)
-            lines.append((source, target, text))
-    return _csv_text(EDGE_HEADER, lines)
+    # Read from the rows, with no Edge or Fraction built.
+    return _key_value_text(
+        EDGE_HEADER,
+        (
+            (f"{head},{_quoted(target)}", (n, d))
+            for head, row in ((_quoted(source), row) for source, row in crossmap._rows.items())
+            for target, n, d in row
+        ),
+    )
 
 
 def read_array(source: str | Path | TextIO) -> MassArray:
@@ -203,15 +245,12 @@ def read_array(source: str | Path | TextIO) -> MassArray:
             pairs[key] = _parse_ratio(raw_value)
         except ValueError as exc:
             refused.append(str(exc))
-    return MassArray._from_pairs(dict(sorted(pairs.items())))
+    return MassArray._from_pairs(_in_key_order(pairs))
 
 
 def write_array(array: MassArray) -> str:
     """Canonical array CSV: sorted keys, exact values, ``NA`` for missing."""
-    return _csv_text(
-        ARRAY_HEADER,
-        ((key, MISSING_MARKER if pair is None else _render_ratio(*pair)) for key, pair in array._pairs.items()),
-    )
+    return _key_value_text(ARRAY_HEADER, ((_quoted(key), pair) for key, pair in array._pairs.items()))
 
 
 def read_crosswalk(source: str | Path | TextIO) -> tuple[tuple[str, str], ...]:

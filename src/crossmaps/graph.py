@@ -17,7 +17,7 @@ identity edge) names two distinct nodes without any extra bookkeeping.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Literal, get_args
+from typing import Iterable, Literal, get_args
 
 from . import _EXPORTS
 from .core import Crossmap, MassArray, ZERO, _Record, render_rational
@@ -35,15 +35,24 @@ class Component(_Record):
     __slots__ = _fields = ("sources", "targets", "edges", "relation_type")
 
     def to_json_dict(self) -> dict:
-        return {
-            "relation_type": self.relation_type,
-            "sources": list(self.sources),
-            "targets": list(self.targets),
-            "edges": [
-                {"from": e.source, "to": e.target, "weight": render_rational(e.weight)}
-                for e in self.edges
-            ],
-        }
+        edges = ((e.source, e.target, render_rational(e.weight)) for e in self.edges)
+        return _component_document(self.relation_type, self.sources, self.targets, edges)
+
+
+def _component_document(
+    relation_type: RelationType,
+    sources: tuple[str, ...],
+    targets: tuple[str, ...],
+    edges: Iterable[tuple[str, str, str]],
+) -> dict:
+    # A component's JSON document, from its edges as (source, target, weight text):
+    # Component.to_json_dict's, and `crossmap classify --json`'s, which renders from the rows.
+    return {
+        "relation_type": relation_type,
+        "sources": list(sources),
+        "targets": list(targets),
+        "edges": [{"from": source, "to": target, "weight": weight} for source, target, weight in edges],
+    }
 
 
 def _relation_type(sources: tuple[str, ...], targets: tuple[str, ...]) -> RelationType:

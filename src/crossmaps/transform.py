@@ -28,7 +28,6 @@ from .core import (
     _check_policy,
     _check_weight_type,
     _exact_pairs,
-    _exact_sums,
     _exact_total,
     _for_message,
 )
@@ -163,10 +162,16 @@ def _require_clean(
 def _split_totals(covered: list[_Covered], dropped: Fraction) -> tuple[Fraction, Fraction]:
     # (total mass, mass on split sources) of _require_clean's covered
     # entries plus the dropped mass, which counts toward the total only.  A
-    # source is split when its row has more than one edge.
-    sums = _exact_sums((len(row) > 1, p, q) for row, p, q in covered)
-    split_mass = sums.get(True, ZERO)
-    return split_mass + sums.get(False, ZERO) + dropped, split_mass
+    # source is split when its row has more than one edge.  Masses sharing a
+    # denominator are added as plain integers first, since an array's masses
+    # share few denominators, so the lcm step runs once per distinct one.
+    split: dict[int, int] = {}
+    whole: dict[int, int] = {}
+    for row, p, q in covered:
+        group = split if len(row) > 1 else whole
+        group[q] = group.get(q, 0) + p
+    split_mass = _exact_total((n, q) for q, n in split.items())
+    return split_mass + _exact_total((n, q) for q, n in whole.items()) + dropped, split_mass
 
 
 def apply_transform(
@@ -181,22 +186,19 @@ def apply_transform(
     uncovered keys unless options say to drop them, in which case the
     dropped mass is reported in the receipt instead of vanishing.
 
-    Cost: one pass over the array, plus one term per edge of each covered
-    key with nonzero mass, so zeros cost little.  The refusal and drop
-    reports are built only when the call refuses or drops something.
+    Cost: one pass over the array, plus one integer term per edge of each
+    covered key with nonzero mass, so zeros cost little.  The input total
+    adds the masses of each distinct denominator as integers before any
+    lcm step, and the output total takes one term per target that received
+    mass.  The refusal and drop reports are built only when the call
+    refuses or drops something.
     """
     coverage, covered = _require_clean(crossmap, array, options)
-
-    def terms():
-        # mass * weight as an unreduced integer pair.
-        for row, p, q in covered:
-            for target, n, d in row:
-                yield target, p * n, q * d
-
+    # Each covered row's weights scaled by its mass, summed per target.
     # Masses and weights are positive, so every accumulated sum is too:
     # none is a zero to leave out, and each is reduced once, here.
     sums: dict[str, tuple[int, int]] = {}
-    for target, (n, d) in _exact_pairs(terms()).items():
+    for target, (n, d) in _exact_pairs(covered).items():
         g = gcd(n, d)
         sums[target] = (n // g, d // g)
     input_total, split_mass = _split_totals(covered, coverage.mass_at_risk)

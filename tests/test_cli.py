@@ -39,6 +39,7 @@ from crossmaps.core import (
 )
 from crossmaps.extraction import ProbeError
 from crossmaps.formats import ParseError, read_edge_list, to_json, write_edge_list
+from crossmaps.graph import components
 from crossmaps.transform import CoverageError, MissingValueError, NegativeMassError, apply_transform
 
 from helpers import prime_edge_list
@@ -266,6 +267,31 @@ class TestClassifySummarize:
         reported = re.findall(r"^component (\d+) \[(\w+)\]", text, re.MULTILINE)
         assert reported == [(str(i), c["relation_type"]) for i, c in enumerate(payload)]
         assert len({c["relation_type"] for c in payload}) == 4
+
+    @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+    def test_classify_builds_no_edge(self, flags, tmp_path, capsys):
+        path = tmp_path / "mixed.csv"
+        path.write_text(COUNTRY_CSV + 'm1,n1,1/2\nm1,n2,1/2\nm2,n1,1\n"k,1","q""r\ns",1\n', encoding="utf-8")
+        built, new_edge = [], Edge.__init__
+
+        def spy_edge(self, *args):
+            built.append(args)
+            new_edge(self, *args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Edge, "__init__", spy_edge)
+            assert main(["classify", str(path), *flags]) == 0
+        assert built == []
+        # The same bytes as rendered from the public components.
+        found = components(build_crossmap(read_edge_list(str(path))))
+        if flags:
+            expected = to_json([c.to_json_dict() for c in found])
+        else:
+            expected = "".join(
+                f"component {i} [{c.relation_type}] sources: {', '.join(c.sources)} -> targets: {', '.join(c.targets)}\n"
+                for i, c in enumerate(found)
+            )
+        assert capsys.readouterr().out == expected
 
     def test_classify_json(self, country_file, capsys):
         assert main(["classify", country_file, "--json"]) == 0

@@ -17,7 +17,7 @@ from itertools import groupby
 import pytest
 from hypothesis import example, given, strategies as st
 
-from crossmaps import core
+from crossmaps import core, formats
 from crossmaps.algebra import compose, reverse
 from crossmaps.core import (
     Crossmap,
@@ -138,6 +138,15 @@ class TestParseRational:
     @example("\x1c-1 \u3000/\t2\x1c")
     @example("-7." + "7" * sys.get_int_max_str_digits())
     @example("7" * (sys.get_int_max_str_digits() + 1) + "/0")
+    # The bare "digits/digits" path and each token just off it.
+    @example("0/7")
+    @example("6/4")
+    @example("5/0")
+    @example("1/2 ")
+    @example(" 1/2")
+    @example("+1/2")
+    @example("7" * (sys.get_int_max_str_digits() + 1) + "/1")
+    @example("1/" + "7" * (sys.get_int_max_str_digits() + 1))
     def test_matches_the_regex_parser(self, text):
         new, old = outcome(parse_rational, text), outcome(regex_parse_rational, text)
         assert new == old
@@ -808,6 +817,28 @@ class TestArrayContract:
                 array[min(entries)]
                 assert list(vars(array)) == ["_view"] and array._view == entries
                 assert all(v is core.ZERO for v in array._view.values() if v == 0)
+            self.assert_contract(array)
+
+    @given(array_rows, st.randoms(use_true_random=False))
+    @example({"b": "1/2", "a": "NA", "c": "3"}, random.Random(0))
+    def test_read_array_sorts_only_keys_out_of_order(self, rows, shuffler):
+        given_order = sorted(rows.items())
+        shuffler.shuffle(given_order)
+        for items in (sorted(rows.items()), given_order):
+            calls = []
+
+            def spy(pairs):
+                calls.append((list(pairs), pairs, core._in_key_order(pairs)))
+                return calls[-1][2]
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(formats, "_in_key_order", spy)
+                array = read_array(io.StringIO(array_text(items)))
+            ((parsed_order, parsed, kept),) = calls
+            assert parsed_order == [k for k, _ in items]
+            assert array._pairs is kept and list(kept) == sorted(rows)
+            # A file in key order keeps the dict it was parsed into; any other is rebuilt.
+            assert (kept is parsed) == (parsed_order == sorted(rows))
             self.assert_contract(array)
 
     def assert_contract(self, array: MassArray) -> None:

@@ -207,9 +207,10 @@ class TestValidationMatchesReference:
 class TestExactSums:
     # The accumulation primitive itself, on its boundary cases.
     def sums(self, terms):
-        from crossmaps.core import _exact_sums
+        from crossmaps.core import _exact_pairs
 
-        return _exact_sums(terms)
+        # One row of the terms, unscaled, each sum reduced once.
+        return {key: Fraction(n, d) for key, (n, d) in _exact_pairs([(terms, 1, 1)]).items()}
 
     def test_empty(self):
         assert self.sums([]) == {}
@@ -230,7 +231,14 @@ class TestExactSums:
     def test_pairs_stay_unreduced(self):
         from crossmaps.core import _exact_pairs
 
-        assert _exact_pairs([("k", 1, 4), ("k", 1, 4), ("k", 1, 2), ("j", 2, 6)]) == {"k": [4, 4], "j": [2, 6]}
+        assert _exact_pairs([([("k", 1, 4), ("k", 1, 4), ("k", 1, 2), ("j", 2, 6)], 1, 1)]) == {"k": [4, 4], "j": [2, 6]}
+
+    def test_each_row_is_scaled_by_its_ratio(self):
+        from crossmaps.core import _exact_pairs
+
+        rows = [([("k", 1, 2), ("j", 1, 3)], 2, 3), ([("k", 1, 4)], 1, 1), ((), 5, 7)]
+        # k: 2/6 + 1/4 over lcm(6, 4) = 12; j: 2/9 alone, unreduced.
+        assert _exact_pairs(rows) == {"k": [7, 12], "j": [2, 9]}
 
     def test_keys_keep_first_seen_order(self):
         result = self.sums([("b", 1, 4), ("a", 1, 6), ("b", 1, 6), ("a", 1, 4)])

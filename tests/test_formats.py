@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,9 @@ from crossmaps.core import (
     Edge,
     EdgeListDraft,
     MassArray,
+    ValueTooLongError,
     build_crossmap,
+    clean_key,
     identity_crossmap,
     render_rational,
 )
@@ -38,6 +41,8 @@ from helpers import random_crossmap, random_mass_array
 
 ONE = Fraction(1)
 HALF = Fraction(1, 2)
+# One digit more than str() may print.
+TOO_LONG = 10 ** sys.get_int_max_str_digits()
 
 COUNTRY_CSV = (
     "from,to,weight\n"
@@ -197,7 +202,7 @@ KEY_ALPHABET = st.characters(min_codepoint=33, max_codepoint=126)
 AWKWARD_KEYS = st.text(KEY_ALPHABET, min_size=1, max_size=12)
 # Characters special to CSV quoting or to some notion of a line end.
 LINE_BREAKING_KEYS = st.text(
-    st.sampled_from(["a", "b", " ", "\r", "\n", "\t", "\x00", "\x1c", "\u2028", ",", '"']), min_size=1, max_size=6
+    st.sampled_from(["a", "b", " ", "\r", "\n", "\t", "\x00", "\x1c", "\x85", "\u2028", ",", '"']), min_size=1, max_size=6
 )
 # Keys a writer quotes over several lines.
 MULTILINE_KEYS = st.lists(AWKWARD_KEYS, min_size=1, max_size=3).map("\n".join)
@@ -359,8 +364,24 @@ def per_row_reference(header: list[str], rows) -> str:
     return buffer.getvalue()
 
 
+def accepted_key(text: str) -> bool:
+    try:
+        clean_key(text)
+    except ValueError:
+        return False
+    return True
+
+
+# Every kind of key a writer can be given, as clean_key leaves it.  Edge and
+# MassArray run clean_key on every key, and the readers strip each key,
+# refuse NUL and turn \r into \n, so no key that reaches a writer is empty or
+# untrimmed or holds \r or NUL: the keys on which csv.writer's bytes differ
+# between Python versions never arrive.
+WRITER_KEYS = st.one_of(AWKWARD_KEYS, MULTILINE_KEYS, LINE_BREAKING_KEYS.filter(accepted_key).map(clean_key))
+
+
 class TestWriters:
-    @given(st.integers(0, 10_000), st.lists(AWKWARD_KEYS, min_size=24, max_size=24, unique=True))
+    @given(st.integers(0, 10_000), st.lists(WRITER_KEYS, min_size=24, max_size=24, unique=True))
     def test_edge_list_matches_a_per_row_reference(self, seed, keys):
         base = random_crossmap(random.Random(seed), max_sources=12, max_targets=12)
         name = dict(zip([*base.sources, *base.targets], keys))
@@ -368,7 +389,8 @@ class TestWriters:
         rows = [[e.source, e.target, render_rational(e.weight)] for e in crossmap.edges]
         assert write_edge_list(crossmap) == per_row_reference(["from", "to", "weight"], rows)
 
-    @given(st.integers(0, 10_000), st.lists(AWKWARD_KEYS, min_size=1, max_size=12, unique=True))
+    @given(st.integers(0, 10_000), st.lists(WRITER_KEYS, min_size=1, max_size=12, unique=True))
+    @example(0, ["a\nb", "c d", "e\tf", "g\x1ch", "i\x85j", "k\u2028l", 'm,"n'])
     def test_array_matches_a_per_row_reference(self, seed, keys):
         rng = random.Random(seed)
         array = MassArray(
@@ -376,6 +398,18 @@ class TestWriters:
         )
         rows = [[k, "NA" if v is None else render_rational(v)] for k, v in array.items()]
         assert write_array(array) == per_row_reference(["key", "value"], rows)
+
+    @pytest.mark.parametrize("value", [TOO_LONG, -TOO_LONG, Fraction(1, TOO_LONG)], ids=["integer", "negative", "denominator"])
+    def test_array_value_too_long_to_render(self, value):
+        with pytest.raises(ValueTooLongError):
+            write_array(MassArray({"a": 1, "b": value}))
+
+    @pytest.mark.parametrize("digits", [0, 1], ids=["denominator", "numerator_and_denominator"])
+    def test_edge_list_weight_too_long_to_render(self, digits):
+        weight = Fraction(1 + digits * (TOO_LONG - 2), TOO_LONG)
+        crossmap = Crossmap([Edge("a", "x", ONE), Edge("b", "x", weight), Edge("b", "y", 1 - weight)])
+        with pytest.raises(ValueTooLongError):
+            write_edge_list(crossmap)
 
 
 class TestCrosswalkFiles:
