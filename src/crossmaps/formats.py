@@ -7,10 +7,10 @@ canonical bytes — sorted rows, weights as exact ``p/q`` text, ``\\n`` line
 endings — so reading and re-writing a canonical file reproduces it exactly,
 and identical inputs always produce identical output bytes.
 
-The edge-list and array writers build their lines directly, with no
-``csv.writer``: a key is quoted, each ``"`` in it doubled, exactly when it
-holds ``,``, ``"`` or ``\\n``.  That rule gives the bytes ``csv.writer``
-gives every key a crossmap or an array can hold, and one helper,
+The writers build their lines directly, with no ``csv.writer``: a key is
+quoted, each ``"`` in it doubled, exactly when it holds ``,``, ``"`` or
+``\\n``.  That rule gives the bytes ``csv.writer`` gives every key a
+crossmap, an array or a written crosswalk can hold, and one helper,
 ``_quoted``, holds it.
 
 ``NA`` (exact, case-sensitive) is the only missing-value marker in array
@@ -43,6 +43,7 @@ from .core import (
     _render_ratio,
     _rows_of,
     _too_long,
+    clean_key,
     render_rational,
 )
 
@@ -128,22 +129,14 @@ def _csv_rows(source: str | Path | TextIO, header: list[str], refused: list[str]
         raise ParseError(name, problems)
 
 
-def _csv_text(header: list[str], rows: Iterable[Iterable[str]]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
 def _quoted(key: str) -> str:
-    """A key as a CSV field: quoted, each ``"`` doubled, when it holds ``,``, ``"`` or ``\n``.
+    """A key as a CSV field: quoted, each ``"`` doubled, when it holds ``,``, ``"`` or ``\\n``.
 
-    Byte for byte what ``csv.writer(lineterminator="\n")`` writes on Python
-    3.10 to 3.13 for every key the ``_Rows`` and ``_Pairs`` layouts admit:
-    non-empty, trimmed, with no ``\r`` and no NUL.  The versions differ on
-    ``\r``, NUL and a lone empty field, so ``write_crosswalk``, whose pairs
-    come unchecked, writes through ``csv.writer``.
+    Byte for byte what ``csv.writer(lineterminator="\\n")`` writes on Python
+    3.10 to 3.13 for every key :func:`clean_key` returns, the only keys the
+    ``_Rows`` and ``_Pairs`` layouts and ``write_crosswalk`` admit: non-empty,
+    trimmed, with no ``\\r`` and no NUL.  The versions differ only on ``\\r``,
+    NUL and a lone empty field, which no writer is given.
     """
     if "," in key or '"' in key or "\n" in key:
         return '"' + key.replace('"', '""') + '"'
@@ -271,8 +264,25 @@ def read_crosswalk(source: str | Path | TextIO) -> tuple[tuple[str, str], ...]:
 
 
 def write_crosswalk(pairs: Iterable[tuple[str, str]]) -> str:
-    """Canonical crosswalk CSV, sorted by (from, to)."""
-    return _csv_text(CROSSWALK_HEADER, sorted(pairs))
+    """Canonical crosswalk CSV, sorted by (from, to), that :func:`read_crosswalk` reads back as the cleaned pairs.
+
+    Each key passes :func:`clean_key`, so a key that is not ``str`` is a
+    ``TypeError``, and a blank key or one holding ``\\r`` or NUL a
+    ``ValueError``; a pair that repeats after trimming is a ``ValueError``
+    too.  Each error names the pair and is raised before any text is built.
+    """
+    cleaned: set[tuple[str, str]] = set()
+    for pair in pairs:
+        try:
+            from_key, to_key = pair
+            key = (clean_key(from_key), clean_key(to_key))
+        except (TypeError, ValueError) as exc:
+            raise type(exc)(f"pair {pair!r}: {exc}") from None
+        if key in cleaned:
+            raise ValueError(f"pair {pair!r}: duplicate pair {key!r}")
+        cleaned.add(key)
+    lines = [",".join(CROSSWALK_HEADER), *(f"{_quoted(s)},{_quoted(t)}" for s, t in sorted(cleaned)), ""]
+    return "\n".join(lines)
 
 
 def import_crosswalk(

@@ -378,6 +378,8 @@ def accepted_key(text: str) -> bool:
 # untrimmed or holds \r or NUL: the keys on which csv.writer's bytes differ
 # between Python versions never arrive.
 WRITER_KEYS = st.one_of(AWKWARD_KEYS, MULTILINE_KEYS, LINE_BREAKING_KEYS.filter(accepted_key).map(clean_key))
+# Keys as a caller may hand them to write_crosswalk, which cleans or refuses each.
+CROSSWALK_KEYS = st.one_of(AWKWARD_KEYS, MULTILINE_KEYS, LINE_BREAKING_KEYS)
 
 
 class TestWriters:
@@ -424,6 +426,45 @@ class TestCrosswalkFiles:
     def test_round_trip_bytes(self):
         text = "from,to\nAF,AFG\nAL,ALB\nDZ,DZA\n"
         assert write_crosswalk(read_crosswalk(io.StringIO(text))) == text
+
+    # One example per way the writer once gave text its reader refuses or reads as other pairs.
+    @given(st.lists(st.tuples(CROSSWALK_KEYS, CROSSWALK_KEYS), max_size=6))
+    @example([(" a", "b")])
+    @example([("a", 1)])
+    @example([("a\rb", "c")])
+    @example([("", "c")])
+    @example([("a\x00", "b")])
+    @example([("a", "b"), ("a", "b")])
+    def test_written_pairs_read_back_cleaned(self, pairs):
+        try:
+            cleaned = [(clean_key(s), clean_key(t)) for s, t in pairs]
+        except (TypeError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                write_crosswalk(pairs)
+            return
+        if len(set(cleaned)) < len(cleaned):
+            with pytest.raises(ValueError, match="duplicate pair"):
+                write_crosswalk(pairs)
+            return
+        text = write_crosswalk(pairs)
+        assert read_crosswalk(io.StringIO(text)) == tuple(sorted(cleaned))
+        assert write_crosswalk(read_crosswalk(io.StringIO(text))) == text
+
+    @pytest.mark.parametrize(
+        ("pairs", "error"),
+        [
+            ([("a", 1)], TypeError),
+            ([("a\rb", "c")], ValueError),
+            ([("", "c")], ValueError),
+            ([("a\x00", "b")], ValueError),
+            ([("a", "b"), (" a", "b")], ValueError),
+        ],
+        ids=["non_str", "carriage_return", "blank", "nul", "repeated_after_trimming"],
+    )
+    def test_refusal_names_the_pair(self, pairs, error):
+        with pytest.raises(error) as excinfo:
+            write_crosswalk(pairs)
+        assert repr(pairs[-1]) in str(excinfo.value)
 
 
 class TestImportCrosswalk:
