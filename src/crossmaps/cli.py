@@ -11,6 +11,7 @@ only in the opt-in provenance footer.
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
 import os
@@ -51,21 +52,21 @@ MAX_JOBS = 64
 
 
 def _source(args: argparse.Namespace, path: str):
-    """The one reader of an input: a text stream over the file's bytes, read once.
+    """The one reader of an input: a binary stream over its bytes, read once, which the readers decode.
 
-    The bytes are decoded as UTF-8; the readers give the text the
-    universal-newline reading a text-mode file gets.  Under ``--provenance``
-    their sha256 is kept for the record.  '-' means standard input, which is
-    not recorded.
+    Under ``--provenance`` the bytes' sha256 is kept for the record.  '-' means
+    standard input's bytes, not recorded; a closed standard input is an ``OSError``.
     """
     if path == "-":
-        return sys.stdin
+        if sys.stdin is None:
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF), "-")
+        return sys.stdin.buffer
     data = Path(path).read_bytes()
     if getattr(args, "provenance", None):
         import hashlib
 
         args.inputs[path] = "sha256:" + hashlib.sha256(data).hexdigest()
-    stream = io.StringIO(data.decode("utf-8"))
+    stream = io.BytesIO(data)
     stream.name = path
     return stream
 

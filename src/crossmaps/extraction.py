@@ -77,7 +77,7 @@ class ExternalCommandTransform(_Record):
             detail = proc.stderr.decode("utf-8", errors="replace").strip() or f"exit status {proc.returncode}"
             raise ProbeError(f"{self.argv[0]!r} failed: {detail}")
         try:
-            output = io.StringIO(proc.stdout.decode("utf-8"))
+            output = io.BytesIO(proc.stdout)
             output.name = self.argv[0]
             return formats.read_array(output)
         except (formats.ParseError, ValueError) as exc:

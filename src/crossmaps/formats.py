@@ -1,11 +1,12 @@
 """Bit-exact file formats: edge-list CSV, crosswalk CSV, array CSV, DOT, JSON.
 
-Readers are strict and report every malformed row in one pass, at the line
-the row starts on, counting the lines inside quoted fields; a ``csv`` error
-ends reading and is listed after the problems found before it.  Writers emit
-canonical bytes — sorted rows, weights as exact ``p/q`` text, ``\\n`` line
-endings — so reading and re-writing a canonical file reproduces it exactly,
-and identical inputs always produce identical output bytes.
+Readers are strict: each takes a path, a text stream or a binary stream
+(bytes must be UTF-8) and reports every malformed row in one pass, at the
+line the row starts on, counting the lines inside quoted fields; a ``csv``
+error ends reading and is listed after the problems found before it.
+Writers emit canonical bytes — sorted rows, weights as exact ``p/q`` text,
+``\\n`` line endings — so reading and re-writing a canonical file reproduces
+it exactly, and identical inputs always produce identical output bytes.
 
 The writers build their lines directly, with no ``csv.writer``: a key is
 quoted, each ``"`` in it doubled, exactly when it holds ``,``, ``"`` or
@@ -25,7 +26,7 @@ import io
 import json
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Iterator, Literal, TextIO, get_args
+from typing import BinaryIO, Iterable, Iterator, Literal, TextIO, get_args
 
 from . import _EXPORTS
 from .core import (
@@ -73,18 +74,19 @@ class ParseError(CrossmapError):
         return {"error": "parse", "file": self.filename, "problems": problems}
 
 
-def _read_text(source: str | Path | TextIO) -> tuple[str, str]:
-    """A source's name and its whole text, read with universal newlines; text holding NUL is refused."""
+def _read_text(source: str | Path | TextIO | BinaryIO) -> tuple[str, str]:
+    """A source's name and whole text, the one decoder: bytes as strict UTF-8, line ends as ``\\n``, NUL refused."""
     if hasattr(source, "read"):
-        text = source.read()
+        data = source.read()
         name = getattr(source, "name", "<stream>")
     else:
         name = str(source)
-        text = Path(source).read_text(encoding="utf-8")
+        data = Path(source).read_bytes()
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
     if "\r" in text:
-        # The universal-newline reading a text-mode file gets, for streams too:
-        # csv.reader ends a row at a bare \r that the writers leave unquoted.
-        text = io.StringIO(text, newline=None).read()
+        # The universal-newline rule a text-mode file follows: csv.reader ends
+        # a row at a bare \r that the writers leave unquoted.
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     if "\x00" in text:
         # csv.reader refuses NUL before Python 3.11 and reads it after; refuse it
         # on every version, with the document 3.10 gives.
@@ -93,7 +95,7 @@ def _read_text(source: str | Path | TextIO) -> tuple[str, str]:
     return name, text
 
 
-def _csv_rows(source: str | Path | TextIO, header: list[str], refused: list[str]) -> Iterator[list[str]]:
+def _csv_rows(source: str | Path | TextIO | BinaryIO, header: list[str], refused: list[str]) -> Iterator[list[str]]:
     """Yield each row after an exact ``header`` that has as many fields.
 
     The caller refuses the row it was just given by appending one message to
@@ -165,7 +167,7 @@ def _key_value_text(header: list[str], lines: Iterable[tuple[str, tuple[int, int
     return "\n".join(out)
 
 
-def read_edge_list(source: str | Path | TextIO) -> EdgeListDraft:
+def read_edge_list(source: str | Path | TextIO | BinaryIO) -> EdgeListDraft:
     """Read a ``from,to,weight`` CSV into a draft for validation.
 
     Weights must parse exactly and lie in (0, 1]; blank keys and malformed
@@ -214,7 +216,7 @@ def write_edge_list(crossmap: Crossmap) -> str:
     )
 
 
-def read_array(source: str | Path | TextIO) -> MassArray:
+def read_array(source: str | Path | TextIO | BinaryIO) -> MassArray:
     """Read a ``key,value`` CSV; ``NA`` becomes an explicit missing marker.
 
     Duplicate keys are parse errors — two rows claiming the same key means
@@ -246,7 +248,7 @@ def write_array(array: MassArray) -> str:
     return _key_value_text(ARRAY_HEADER, ((_quoted(key), pair) for key, pair in array._pairs.items()))
 
 
-def read_crosswalk(source: str | Path | TextIO) -> tuple[tuple[str, str], ...]:
+def read_crosswalk(source: str | Path | TextIO | BinaryIO) -> tuple[tuple[str, str], ...]:
     """Read a two-column ``from,to`` lookup table; duplicate pairs are errors."""
     refused: list[str] = []
     # Insertion-ordered, so the pairs come back in file order.
@@ -286,7 +288,7 @@ def write_crosswalk(pairs: Iterable[tuple[str, str]]) -> str:
 
 
 def import_crosswalk(
-    source: str | Path | TextIO,
+    source: str | Path | TextIO | BinaryIO,
     split_policy: SplitPolicy = "reject_splits",
 ) -> tuple[Crossmap | None, ValidationReport]:
     """Turn an unweighted lookup table into a crossmap.

@@ -142,7 +142,7 @@ class TestValidate:
         assert json.loads(capsys.readouterr().out)["ok"] is True
 
     def test_stdin_dash(self, capsys, monkeypatch):
-        monkeypatch.setattr("sys.stdin", __import__("io").StringIO(COUNTRY_CSV))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(COUNTRY_CSV.encode()), encoding="utf-8"))
         assert main(["validate", "-"]) == 0
 
 
@@ -589,6 +589,15 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "encoding"
+
+    @pytest.mark.parametrize("argv", [["validate", "-"], ["extract", "--cmd", "cat", "--keys", "-"]], ids=["validate", "extract"])
+    def test_closed_stdin_is_io_error(self, argv, capsys, monkeypatch):
+        # The interpreter's sys.stdin when it starts with fd 0 closed (`<&-`).
+        monkeypatch.setattr("sys.stdin", None)
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": "io", "message": f"[Errno {errno.EBADF}] {os.strerror(errno.EBADF)}: '-'"}
 
     def test_no_subcommand_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -1071,3 +1080,36 @@ class TestContractProperty:
                 assert _leftovers(root) == []
                 if argv[:1] != ["validate"]:  # validate's report is its output
                     assert out.getvalue() == ""
+
+
+# Each command reading one input, given as "{}": the map, when there is one, is
+# fixed (an edge list file over the keys FILE_BYTES can hold).
+ONE_INPUT_COMMANDS = [
+    ["validate", "{}"],
+    ["apply", "--map", "m.csv", "--data", "{}"],
+    ["extract", "--cmd", "cat", "--keys", "{}"],
+]
+
+
+class TestStdinReadsLikeAFile:
+    @settings(max_examples=60, deadline=None)
+    @given(command=st.sampled_from(ONE_INPUT_COMMANDS), data=FILE_BYTES)
+    @example(command=ONE_INPUT_COMMANDS[0], data=b"from,to,weight\n\xe9,x,1\n")
+    @example(command=ONE_INPUT_COMMANDS[0], data=b'from,to,weight\r\n"a\r\nb",x,1\ra,y,1\r')
+    def test_dash_and_a_file_give_the_same_run(self, command, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            _write_inputs(root, {"m.csv": b"from,to,weight\na,x,1\nb,x,1/2\nb,y,1/2\n", "in.csv": data})
+            path, runs = str(root / "in.csv"), []
+            for word, name in ((path, path), ("-", "<stdin>")):
+                # Standard input as the interpreter opens it under the POSIX locale.
+                buffer = io.BytesIO(data)
+                buffer.name = "<stdin>"
+                stdin = io.TextIOWrapper(buffer, encoding="utf-8", errors="surrogateescape")
+                out, err = io.StringIO(), io.StringIO()
+                argv = [str(root / a) if a == "m.csv" else a.format(word) for a in command]
+                with redirect_stdout(out), redirect_stderr(err), mock.patch("sys.stdin", stdin):
+                    code = main(argv)
+                # Each run's name for its input, the file's path or "<stdin>", read as "-".
+                runs.append((code, out.getvalue().replace(name, "-"), err.getvalue().replace(name, "-")))
+        assert runs[1] == runs[0]

@@ -6,7 +6,9 @@ import csv
 import io
 import random
 import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, strategies as st
@@ -204,6 +206,14 @@ AWKWARD_KEYS = st.text(KEY_ALPHABET, min_size=1, max_size=12)
 LINE_BREAKING_KEYS = st.text(
     st.sampled_from(["a", "b", " ", "\r", "\n", "\t", "\x00", "\x1c", "\x85", "\u2028", ",", '"']), min_size=1, max_size=6
 )
+# Input text mixing every line end, in and out of quoted fields, with the
+# characters str.splitlines breaks at and csv does not.
+SOURCE_TEXT = st.lists(
+    st.sampled_from(
+        ["a", "b", "x", "1", "1/2", "NA", ",", '"', '"a\r\nb"', '"c\rd"', "\n", "\r\n", "\r", "\x1c", "\x85", "\u2028", " ", "é", "\x00"]
+    ),
+    max_size=16,
+).map("".join)
 # Keys a writer quotes over several lines.
 MULTILINE_KEYS = st.lists(AWKWARD_KEYS, min_size=1, max_size=3).map("\n".join)
 # Each reader with its header, the fields after the key in a good row, and the
@@ -352,6 +362,27 @@ class TestQuoting:
         with pytest.raises(ParseError) as excinfo:
             reader(io.StringIO(buffer.getvalue()))
         assert excinfo.value.problems == tuple(expected)
+
+    @EVERY_READER
+    @given(end=st.sampled_from(["\n", "\r\n", "\r"]), body=SOURCE_TEXT)
+    @example(end="\r", body='"a\r\nb",x,1\r\x1c,1,1\r\n\u2028,1,1\r')
+    def test_a_path_and_both_kinds_of_stream_read_alike(self, reader, header, good, blank_last, end, body):
+        text = ",".join(header) + end + body
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.csv"
+            path.write_bytes(text.encode())
+            binary, stream = io.BytesIO(text.encode()), io.StringIO(text)
+            binary.name = stream.name = str(path)
+            outcomes = [read_outcome(reader, source) for source in (path, binary, stream)]
+        assert outcomes[1:] == outcomes[:1] * 2
+
+
+def read_outcome(reader, source):
+    """What ``reader`` makes of ``source``: its result, or its parse error's document."""
+    try:
+        return reader(source)
+    except ParseError as exc:
+        return exc.to_json_dict()
 
 
 def per_row_reference(header: list[str], rows) -> str:

@@ -61,7 +61,8 @@ def _exit_code(case: Path) -> int:
 
 def _in_process(argv: list[str], stdin: bytes, cwd: Path, monkeypatch) -> tuple[int, bytes, bytes]:
     # Text streams like the real ones on POSIX: UTF-8, no newline translation,
-    # and standard input named "<stdin>", which parse documents quote.
+    # and standard input over a buffer named "<stdin>", which parse documents
+    # quote; the CLI reads standard input's bytes through that ``.buffer``.
     buffer = io.BytesIO(stdin)
     buffer.name = "<stdin>"
     out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\n") for _ in range(2))
